@@ -16,7 +16,7 @@ runs.  :meth:`TwoStageProtocol.run_ensemble` is a convenience shortcut.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import TYPE_CHECKING, List, Optional, Union
 
 import numpy as np
 
@@ -51,6 +51,9 @@ from repro.utils.rng import (
     as_generator,
     resolve_trial_randomness,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.faults.injection import FaultedPhaseSampler
 
 __all__ = [
     "TwoStageProtocol",
@@ -628,18 +631,19 @@ class CountsProtocol:
     ``batched``/``sequential`` engines.  This is the engine that runs
     ``n = 10^6`` (and beyond) protocol ensembles in seconds.
 
-    The constructor mirrors :class:`EnsembleProtocol` minus the delivery
-    knobs that require per-node state: there is no ``process``/``engine``
-    choice (delivery is always the counts model) and the Stage-2 sampling
-    ablations are rejected by :class:`~repro.core.stage2.CountsStage2Executor`.
+    A run is a one-task :func:`run_heterogeneous_counts_protocol` batch, so
+    a single run and a fused sweep share one executor.  There is no
+    ``process``/``engine`` choice (delivery is always the counts model) and
+    no Stage-2 sampling ablation.
 
     Parameters
     ----------
     num_nodes, noise, schedule, epsilon, round_scale:
         As in :class:`TwoStageProtocol`.
-    random_state, rng_mode:
-        As in :class:`EnsembleProtocol` (per-trial child streams by
-        default, so a counts batch is bitwise reproducible trial by trial).
+    random_state:
+        One source (spawned into per-trial child streams, so a counts batch
+        is bitwise reproducible trial by trial) or a sequence with one
+        source per trial.
     """
 
     def __init__(
@@ -650,49 +654,16 @@ class CountsProtocol:
         schedule: Optional[ProtocolSchedule] = None,
         epsilon: Optional[float] = None,
         random_state: EnsembleRandomState = None,
-        rng_mode: str = "per_trial",
         round_scale: float = 1.0,
-        delivery: Optional[CountsDeliveryModel] = None,
     ) -> None:
         if schedule is None and epsilon is None:
             raise ValueError("either schedule or epsilon must be provided")
-        if rng_mode not in {"per_trial", "shared"}:
-            raise ValueError(
-                f"rng_mode must be 'per_trial' or 'shared', got {rng_mode!r}"
-            )
         self.num_nodes = int(num_nodes)
         self.noise = noise
         self.epsilon = epsilon
-        self.rng_mode = rng_mode
         self.round_scale = round_scale
         self._schedule = schedule
         self._random_state = random_state
-        if delivery is None:
-            delivery = CountsDeliveryModel(self.num_nodes, noise)
-        elif not isinstance(delivery, CountsDeliveryModel):
-            raise TypeError(
-                f"delivery must be a CountsDeliveryModel, got "
-                f"{type(delivery).__name__}"
-            )
-        # A fault-injecting delivery may span more bins than the (honest)
-        # state the protocol tracks, so num_nodes equality is not enforced.
-        self.delivery = delivery
-
-    def build_schedule(self, initial_opinionated: int = 1) -> ProtocolSchedule:
-        """The schedule used by :meth:`run` (built lazily when not supplied)."""
-        if self._schedule is not None:
-            return self._schedule
-        return ProtocolSchedule.for_population(
-            self.num_nodes,
-            float(self.epsilon),
-            initial_opinionated=max(1, initial_opinionated),
-            round_scale=self.round_scale,
-        )
-
-    def _trial_randomness(self, num_trials: int) -> EnsembleRandomState:
-        return resolve_trial_randomness(
-            self._random_state, num_trials, self.rng_mode
-        )
 
     def run(
         self,
@@ -711,58 +682,31 @@ class CountsProtocol:
         :class:`~repro.core.state.EnsembleCountsState` as ``final_states``
         (same accessor API as the batched result).
         """
-        ensemble = coerce_to_ensemble_counts(initial_state, num_trials)
-        if ensemble.num_nodes != self.num_nodes:
-            raise ValueError(
-                f"initial state has {ensemble.num_nodes} nodes but the "
-                f"protocol was built for {self.num_nodes}"
-            )
-        if ensemble.num_opinions != self.noise.num_opinions:
-            raise ValueError(
-                "initial state and noise matrix disagree on the number of "
-                f"opinions ({ensemble.num_opinions} vs {self.noise.num_opinions})"
-            )
-        if target_opinion is None:
-            target_opinion = ensemble.pooled_plurality_opinion()
-        if target_opinion <= 0:
-            raise ValueError(
-                "target_opinion could not be inferred: the initial ensemble "
-                "has no opinionated node"
-            )
-        schedule = self.build_schedule(
-            int(ensemble.opinionated_counts().min())
-        )
-        randomness = self._trial_randomness(ensemble.num_trials)
-        stage1 = CountsStage1Executor(self.delivery, schedule.stage1, randomness)
-        state_after_stage1, stage1_records = stage1.run(
-            ensemble, track_opinion=target_opinion
-        )
-        stage2 = CountsStage2Executor(self.delivery, schedule.stage2, randomness)
-        final_states, stage2_records = stage2.run(
-            state_after_stage1, track_opinion=target_opinion
-        )
-        total_rounds = int(
-            sum(record.num_rounds for record in stage1_records)
-            + sum(record.num_rounds for record in stage2_records)
-        )
-        return EnsembleResult(
-            final_states=final_states,
+        task = CountsProtocolTask(
+            num_nodes=self.num_nodes,
+            noise=self.noise,
+            initial_state=initial_state,
+            num_trials=num_trials,
+            epsilon=self.epsilon,
+            schedule=self._schedule,
             target_opinion=target_opinion,
-            successes=final_states.consensus_mask(target_opinion),
-            total_rounds=total_rounds,
-            stage1_records=stage1_records,
-            stage2_records=stage2_records,
+            random_state=self._random_state,
+            round_scale=self.round_scale,
         )
+        return run_heterogeneous_counts_protocol([task])[0]
 
 
 # reprolint: counts-tier
 @dataclass
 class CountsProtocolTask:
-    """One grid point of a heterogeneous counts-protocol batch.
+    """One grid point of a counts-protocol batch.
 
-    Carries exactly the arguments a serial per-point run would pass to
-    :class:`CountsProtocol` and :meth:`CountsProtocol.run`; see
-    :func:`run_heterogeneous_counts_protocol` for the equivalence contract.
+    ``num_nodes`` is the population the state counts — the honest nodes
+    when ``sampler`` (a
+    :class:`~repro.faults.injection.FaultedPhaseSampler` owning the run's
+    round clock) adds an oblivious faulty sub-population's balls to every
+    phase.  See :func:`run_heterogeneous_counts_protocol` for the batch
+    contract.
     """
 
     num_nodes: int
@@ -776,40 +720,28 @@ class CountsProtocolTask:
     target_opinion: Optional[int] = None
     random_state: EnsembleRandomState = None
     round_scale: float = 1.0
-
-
-def _block_bias(distributions: np.ndarray, target: int) -> np.ndarray:
-    """Per-trial Definition-1 bias of one block toward its own target.
-
-    Evaluates the exact expression of
-    :meth:`~repro.core.state.EnsembleCountsState.bias_toward` on the block's
-    rows, so merged runs record bitwise-identical biases.
-    """
-    if distributions.shape[1] == 1:
-        return distributions[:, 0]
-    rivals = distributions.copy()
-    rivals[:, target - 1] = -np.inf
-    return distributions[:, target - 1] - rivals.max(axis=1)
+    sampler: Optional[FaultedPhaseSampler] = None
 
 
 @dataclass
 class _PreparedPoint:
-    """A grid point resolved to the state a serial run would start from."""
+    """A task resolved to its entry state, target, streams and phase plan."""
 
     task: CountsProtocolTask
     ensemble: EnsembleCountsState
     target_opinion: int
     generators: list
     plan: list  # [("s1", phase_index, num_rounds)] + [("s2", j, nr, L)]
-    slice: Optional[slice] = None
+    rows: Optional[np.ndarray] = None
     stage1_records: list = field(default_factory=list)
     stage2_records: list = field(default_factory=list)
 
 
+# reprolint: counts-tier
 def _prepare_point(
     task: CountsProtocolTask, *, spawn_generators: bool = True
 ) -> _PreparedPoint:
-    """Replicate :meth:`CountsProtocol.run`'s entry work for one point.
+    """Validate one task and resolve its entry state, target and plan.
 
     ``spawn_generators=False`` skips resolving the per-trial streams —
     batched-draw runs never touch them (only the shared stream of the
@@ -871,134 +803,34 @@ def _prepare_point(
     )
 
 
-def _gather_submodel(parts, cache=None):
-    """Gathered rows, local slices and a delivery model for one substep.
+# reprolint: counts-tier
+def _stage_executor(stage: str, parts, generators, cache):
+    """The merged rows and stage executor of one set of active points.
 
-    The active point set is stable across most substeps (points retire only
-    when their schedule ends), so callers pass a ``cache`` dict and the
-    rows/slices/model triple is rebuilt only when the participating points
-    change — the lazy-assembly rebuild that used to run every substep.
+    The active point set is stable across most phases (points retire only
+    when their schedule ends), so the rows/executor pair is built once per
+    distinct ``(stage, points)`` and reused from ``cache``.
     """
-    from repro.network.balls_bins import HeterogeneousCountsDeliveryModel
-
-    key = tuple(id(point) for point in parts)
-    if cache is not None:
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-    rows = []
-    local_slices = []
-    offset = 0
-    for point in parts:
-        sl = point.slice
-        size = sl.stop - sl.start
-        rows.append(np.arange(sl.start, sl.stop))
-        local_slices.append(slice(offset, offset + size))
-        offset += size
-    sub_model = HeterogeneousCountsDeliveryModel(
-        local_slices,
-        [point.task.num_nodes for point in parts],
-        [point.task.noise for point in parts],
-    )
-    gathered = (np.concatenate(rows), local_slices, sub_model)
-    if cache is not None:
-        cache[key] = gathered
-    return gathered
-
-
-def _substep_randomness(generators, rows):
-    """The randomness a merged substep hands the delivery model.
-
-    Per-trial mode (a list of one generator per merged row) gathers the
-    active rows' own streams; batched mode (a single shared generator)
-    passes the stream through untouched.
-    """
-    if isinstance(generators, list):
-        return [generators[row] for row in rows]
-    return generators
-
-
-def _run_stage1_substep(counts, generators, parts, step, cache=None) -> None:
-    """One merged Stage-1 phase over every block whose plan says "s1" now."""
-    rows, local_slices, sub_model = _gather_submodel(parts, cache)
-    num_rounds = np.repeat(
-        np.asarray([point.plan[step][2] for point in parts], dtype=np.int64),
-        [sl.stop - sl.start for sl in local_slices],
-    )
-    counts_sub = counts[rows]
-    histograms = counts_sub * num_rounds[:, np.newaxis]
-    gens_sub = _substep_randomness(generators, rows)
-    noisy = sub_model.recolor(histograms, gens_sub)
-    undecided = sub_model.num_nodes - counts_sub.sum(axis=1, dtype=np.int64)
-    adopted = sub_model.sample_adoptions(noisy, undecided, gens_sub)
-    new_counts = counts_sub + adopted[:, 1:]
-    counts[rows] = new_counts
-    for point, lsl in zip(parts, local_slices):
-        _, phase_index, phase_rounds = point.plan[step]
-        distributions = new_counts[lsl] / point.task.num_nodes
-        point.stage1_records.append(
-            EnsembleStage1PhaseRecord(
-                phase_index=phase_index,
-                num_rounds=phase_rounds,
-                opinionated_before=counts_sub[lsl].sum(axis=1, dtype=np.int64),
-                opinionated_after=new_counts[lsl].sum(axis=1, dtype=np.int64),
-                newly_opinionated=adopted[lsl, 1:].sum(axis=1, dtype=np.int64),
-                opinion_distributions=distributions,
-                bias=_block_bias(distributions, point.target_opinion),
-                messages_sent=histograms[lsl].sum(axis=1, dtype=np.int64),
-            )
+    key = (stage, tuple(id(point) for point in parts))
+    cached = cache.get(key)
+    if cached is None:
+        rows = np.concatenate([point.rows for point in parts])
+        delivery = CountsDeliveryModel(
+            [point.rows.size for point in parts],
+            [point.task.num_nodes for point in parts],
+            [point.task.noise for point in parts],
+            [point.task.sampler for point in parts],
         )
-
-
-def _run_stage2_substep(counts, generators, parts, step, cache=None) -> None:
-    """One merged Stage-2 phase over every block whose plan says "s2" now."""
-    rows, local_slices, sub_model = _gather_submodel(parts, cache)
-    sizes = [sl.stop - sl.start for sl in local_slices]
-    num_rounds = np.repeat(
-        np.asarray([point.plan[step][2] for point in parts], dtype=np.int64),
-        sizes,
-    )
-    sample_sizes = [point.plan[step][3] for point in parts]
-    sample_sizes_rows = np.repeat(
-        np.asarray(sample_sizes, dtype=np.int64), sizes
-    )
-    counts_sub = counts[rows]
-    distributions_before = counts_sub / sub_model.num_nodes[:, np.newaxis]
-    histograms = counts_sub * num_rounds[:, np.newaxis]
-    gens_sub = _substep_randomness(generators, rows)
-    noisy = sub_model.recolor(histograms, gens_sub)
-    update_probability = sub_model.update_probability(noisy, sample_sizes_rows)
-    undecided = sub_model.num_nodes - counts_sub.sum(axis=1, dtype=np.int64)
-    group_sizes = np.concatenate([undecided[:, np.newaxis], counts_sub], axis=1)
-    updaters = sub_model.sample_updaters(
-        group_sizes, update_probability, gens_sub
-    )
-    votes = sub_model.sample_vote_counts(
-        noisy,
-        updaters.sum(axis=1, dtype=np.int64),
-        sample_sizes,
-        gens_sub,
-    )
-    new_counts = counts_sub + votes - updaters[:, 1:]
-    counts[rows] = new_counts
-    for point, lsl in zip(parts, local_slices):
-        _, phase_index, phase_rounds, sample_size = point.plan[step]
-        target = point.target_opinion
-        distributions = new_counts[lsl] / point.task.num_nodes
-        point.stage2_records.append(
-            EnsembleStage2PhaseRecord(
-                phase_index=phase_index,
-                num_rounds=phase_rounds,
-                sample_size=sample_size,
-                updated_nodes=updaters[lsl].sum(axis=1, dtype=np.int64),
-                opinion_distributions=distributions,
-                bias_before=_block_bias(distributions_before[lsl], target),
-                bias_after=_block_bias(distributions, target),
-                messages_sent=histograms[lsl].sum(axis=1, dtype=np.int64),
-                consensus_after=new_counts[lsl, target - 1]
-                == point.task.num_nodes,
-            )
+        # Per-trial mode hands each row its own stream; batched mode passes
+        # the one shared stream through.
+        randomness = (
+            [generators[row] for row in rows]
+            if isinstance(generators, list)
+            else generators
         )
+        executor_cls = CountsStage1Executor if stage == "s1" else CountsStage2Executor
+        cached = cache[key] = (rows, executor_cls(delivery, None, randomness))
+    return cached
 
 
 # reprolint: counts-tier
@@ -1007,40 +839,33 @@ def run_heterogeneous_counts_protocol(
     *,
     draw_mode: str = "per-trial",
 ) -> List[EnsembleResult]:
-    """Run many counts-protocol grid points as one merged batched computation.
+    """Run counts-protocol tasks as one merged batched computation.
 
-    The sweep engine's protocol executor.  Each task is one grid point; the
-    per-point :class:`EnsembleResult` is **bitwise identical** to what
-
-    .. code-block:: python
-
-        CountsProtocol(
-            task.num_nodes, task.noise,
-            schedule=task.schedule, epsilon=task.epsilon,
-            random_state=task.random_state, round_scale=task.round_scale,
-        ).run(task.initial_state, task.num_trials,
-              target_opinion=task.target_opinion)
-
-    would return — same values, same random draws.  The equivalence holds
-    because randomness is always per-trial (trial ``r`` of point ``g`` draws
-    only from its own spawned generator, in the same order as serially) and
-    every merged floating-point operation is row-stable; the one op that is
-    not (the wide ``maj()`` composition matmul) is evaluated per block at
-    the block's own row shape by
-    :class:`~repro.network.balls_bins.HeterogeneousCountsDeliveryModel`.
+    The counts tier's protocol executor: :meth:`CountsProtocol.run` is a
+    one-task batch and the sweep engine fuses a grid's counts points into
+    one.  Each task's :class:`EnsembleResult` is **bitwise identical** to
+    running that task alone — same values, same random draws.  The
+    equivalence holds because randomness is per-trial (trial ``r`` of task
+    ``g`` draws only from its own spawned generator, in the same order as
+    alone) and every merged floating-point operation is row-stable; the one
+    op that is not (the wide ``maj()`` composition matmul) is evaluated per
+    block at the block's own row shape by
+    :class:`~repro.network.balls_bins.CountsDeliveryModel`.
 
     Points advance phase-synchronously: at global step ``p`` every point
-    still owning a ``p``-th phase executes it (Stage-1 and Stage-2 phases in
-    separate merged substeps); points whose schedule is exhausted retire
-    early and stop paying any per-step cost.  All points must share the
-    number of opinions ``k`` (callers group by ``k`` first).
+    still owning a ``p``-th phase executes it (Stage-1 and Stage-2 phases
+    in separate merged :meth:`~repro.core.stage1.CountsStage1Executor.
+    run_phase` / :meth:`~repro.core.stage2.CountsStage2Executor.run_phase`
+    calls); points whose schedule is exhausted retire early and stop paying
+    any per-step cost.  All points must share the number of opinions ``k``
+    (callers group by ``k`` first).
 
     ``draw_mode="batched"`` gives up the bitwise guarantee for throughput:
-    every merged substep draws from one shared stream via column-wise
+    every merged phase draws from one shared stream via column-wise
     batched multinomials/binomials instead of one generator call per row.
     The per-row *laws* are untouched, so results are samples of exactly the
     same distribution (verified by the ``pytest -m agreement`` TVD/Wilson
-    harness); only the raw draw order differs from the serial loop.  The
+    harness); only the raw draw order differs from the per-trial run.  The
     shared stream is the first point's first spawned trial generator, so
     batched runs are themselves deterministic given the task seeds.
     """
@@ -1062,45 +887,46 @@ def run_heterogeneous_counts_protocol(
             "opinions; group grid points by k first"
         )
     offset = 0
-    per_row_nodes = []
     for point in points:
-        point.slice = slice(offset, offset + point.ensemble.num_trials)
+        point.rows = np.arange(offset, offset + point.ensemble.num_trials)
         offset += point.ensemble.num_trials
-        per_row_nodes.append(
-            np.full(point.ensemble.num_trials, point.task.num_nodes, dtype=np.int64)
-        )
-    merged = EnsembleCountsState(
-        np.vstack([point.ensemble.counts for point in points]),
-        np.concatenate(per_row_nodes),
-    )
-    counts = merged.counts
-    if draw_mode == "batched":
+    counts = np.vstack([point.ensemble.counts for point in points])
+    if batched:
         generators = points[0].generators[0]
     else:
         generators = [
             generator for point in points for generator in point.generators
         ]
     step = 0
-    submodel_cache = {}
+    executor_cache: dict = {}
     while True:
         active = [point for point in points if step < len(point.plan)]
         if not active:
             break
-        stage1_parts = [p for p in active if p.plan[step][0] == "s1"]
-        stage2_parts = [p for p in active if p.plan[step][0] == "s2"]
-        if stage1_parts:
-            _run_stage1_substep(
-                counts, generators, stage1_parts, step, submodel_cache
+        for stage in ("s1", "s2"):
+            parts = [p for p in active if p.plan[step][0] == stage]
+            if not parts:
+                continue
+            rows, executor = _stage_executor(
+                stage, parts, generators, executor_cache
             )
-        if stage2_parts:
-            _run_stage2_substep(
-                counts, generators, stage2_parts, step, submodel_cache
+            merged = counts[rows]
+            records = executor.run_phase(
+                merged,
+                [point.plan[step][1:] for point in parts],
+                [point.target_opinion for point in parts],
             )
+            counts[rows] = merged
+            for point, record in zip(parts, records):
+                history = (
+                    point.stage1_records if stage == "s1" else point.stage2_records
+                )
+                history.append(record)
         step += 1
     results = []
     for point in points:
         final_states = EnsembleCountsState(
-            counts[point.slice].copy(), point.task.num_nodes
+            counts[point.rows], point.task.num_nodes
         )
         total_rounds = int(
             sum(record.num_rounds for record in point.stage1_records)

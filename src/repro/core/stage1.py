@@ -19,12 +19,17 @@ opinion; experiments E3 and E4 verify this and the per-phase growth claims.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.schedule import Stage1Schedule
-from repro.core.state import EnsembleCountsState, EnsembleState, PopulationState
+from repro.core.state import (
+    EnsembleCountsState,
+    EnsembleState,
+    PopulationState,
+    distribution_biases,
+)
 from repro.network.balls_bins import CountsDeliveryModel
 from repro.network.delivery import (
     deliver_ensemble_phase,
@@ -305,7 +310,7 @@ class EnsembleStage1Executor:
 
 # reprolint: counts-tier
 class CountsStage1Executor:
-    """Run Stage 1 on ``(R, k)`` sufficient statistics — never ``(R, n)``.
+    """Run Stage 1 on ``(A, k)`` sufficient statistics — never ``(R, n)``.
 
     The counts-engine executor: each phase reduces to its message histogram
     (``num_rounds`` balls per opinionated node, Claim 1), applies the noise
@@ -317,21 +322,27 @@ class CountsStage1Executor:
     :class:`~repro.network.balls_bins.CountsDeliveryModel` for the
     exactness discussion.
 
+    :meth:`run_phase` advances every block of the delivery model through
+    one phase at once (a fused sweep's grid points, or the single block of
+    one run); :meth:`run` drives a one-block model through a whole Stage-1
+    schedule.
+
     Parameters
     ----------
     delivery:
         A :class:`~repro.network.balls_bins.CountsDeliveryModel`.
     schedule:
-        The Stage-1 phase schedule, shared by every trial.
+        The Stage-1 phase schedule :meth:`run` follows (``None`` when only
+        :meth:`run_phase` is used).
     random_state:
         One shared randomness source, or a sequence with one source per
-        trial (trial ``r`` then consumes draws from its own source only).
+        row (row ``r`` then consumes draws from its own source only).
     """
 
     def __init__(
         self,
         delivery: CountsDeliveryModel,
-        schedule: Stage1Schedule,
+        schedule: Optional[Stage1Schedule] = None,
         random_state: EnsembleRandomState = None,
     ) -> None:
         if not isinstance(delivery, CountsDeliveryModel):
@@ -356,42 +367,53 @@ class CountsStage1Executor:
             track_opinion = pooled if pooled > 0 else None
         records: List[EnsembleStage1PhaseRecord] = []
         for phase_index, num_rounds in enumerate(self.schedule.phase_lengths):
-            record = self.run_phase(
-                current, phase_index, num_rounds, track_opinion=track_opinion
+            records += self.run_phase(
+                current.counts, [(phase_index, num_rounds)], [track_opinion]
             )
-            records.append(record)
         return current, records
 
     def run_phase(
         self,
-        state: EnsembleCountsState,
-        phase_index: int,
-        num_rounds: int,
-        *,
-        track_opinion: Optional[int] = None,
-    ) -> EnsembleStage1PhaseRecord:
-        """Execute a single counts Stage-1 phase, mutating ``state`` in place."""
-        opinionated_before = state.opinionated_counts()
-        histograms = self.delivery.phase_histograms(
-            state.counts, num_rounds, self._random_state
+        counts: np.ndarray,
+        phases: Sequence[Tuple[int, int]],
+        track_opinions: Sequence[Optional[int]],
+    ) -> List[EnsembleStage1PhaseRecord]:
+        """One Stage-1 phase for every block, updating ``counts`` in place.
+
+        ``counts`` is the ``(A, k)`` matrix of the model's rows;
+        ``phases[b]`` is block ``b``'s ``(phase_index, num_rounds)`` and
+        ``track_opinions[b]`` the opinion whose bias its record carries
+        (``None``: no bias).  Returns one record per block.
+        """
+        delivery = self.delivery
+        randomness = self._random_state
+        histograms = delivery.phase_histograms(
+            counts, [num_rounds for _, num_rounds in phases], randomness
         )
-        # The histogram is validated once here (recolor); the adoption
-        # sampler reuses the validated post-noise array without re-checking.
-        noisy = self.delivery.recolor(histograms, self._random_state)
-        adopted = self.delivery.sample_adoptions(
-            noisy, state.undecided_counts(), self._random_state, validate=False
-        )
-        state.counts += adopted[:, 1:]
-        bias = (
-            state.bias_toward(track_opinion) if track_opinion is not None else None
-        )
-        return EnsembleStage1PhaseRecord(
-            phase_index=phase_index,
-            num_rounds=num_rounds,
-            opinionated_before=opinionated_before,
-            opinionated_after=state.opinionated_counts(),
-            newly_opinionated=adopted[:, 1:].sum(axis=1, dtype=np.int64),
-            opinion_distributions=state.opinion_distributions(),
-            bias=bias,
-            messages_sent=histograms.sum(axis=1, dtype=np.int64),
-        )
+        noisy = delivery.recolor(histograms, randomness)
+        undecided = delivery.num_nodes - counts.sum(axis=1, dtype=np.int64)
+        adopted = delivery.sample_adoptions(noisy, undecided, randomness)
+        new_counts = counts + adopted[:, 1:]
+        records = []
+        for block, sl in enumerate(delivery.block_slices):
+            phase_index, num_rounds = phases[block]
+            target = track_opinions[block]
+            distributions = new_counts[sl] / delivery.block_num_nodes[block]
+            records.append(
+                EnsembleStage1PhaseRecord(
+                    phase_index=phase_index,
+                    num_rounds=num_rounds,
+                    opinionated_before=counts[sl].sum(axis=1, dtype=np.int64),
+                    opinionated_after=new_counts[sl].sum(axis=1, dtype=np.int64),
+                    newly_opinionated=adopted[sl, 1:].sum(axis=1, dtype=np.int64),
+                    opinion_distributions=distributions,
+                    bias=(
+                        None
+                        if target is None
+                        else distribution_biases(distributions, target)
+                    ),
+                    messages_sent=histograms[sl].sum(axis=1, dtype=np.int64),
+                )
+            )
+        counts[...] = new_counts
+        return records

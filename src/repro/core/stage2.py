@@ -18,13 +18,18 @@ and E6 verify the per-phase amplification and the full trajectory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.schedule import Stage2Schedule
-from repro.core.state import EnsembleCountsState, EnsembleState, PopulationState
-from repro.network.balls_bins import CompiledPhaseLaw, CountsDeliveryModel
+from repro.core.state import (
+    EnsembleCountsState,
+    EnsembleState,
+    PopulationState,
+    distribution_biases,
+)
+from repro.network.balls_bins import CountsDeliveryModel
 from repro.network.delivery import (
     deliver_ensemble_phase,
     deliver_phase,
@@ -35,8 +40,6 @@ from repro.utils.rng import (
     EnsembleRandomState,
     RandomState,
     as_generator,
-    as_trial_generators,
-    is_generator_sequence,
     normalize_ensemble_random_state,
 )
 
@@ -360,7 +363,7 @@ class EnsembleStage2Executor:
 
 # reprolint: counts-tier
 class CountsStage2Executor:
-    """Run Stage 2 on ``(R, k)`` sufficient statistics — never ``(R, n)``.
+    """Run Stage 2 on ``(A, k)`` sufficient statistics — never ``(R, n)``.
 
     The counts-engine executor.  Each phase re-colors the message histogram
     exactly (Claim 1) and summarizes the Poissonized delivery (Definition
@@ -372,23 +375,26 @@ class CountsStage2Executor:
     * by Poisson splitting, a re-voter's size-``L`` sample is ``L`` i.i.d.
       draws from the noisy histogram's color law *independent of its own
       opinion*, so the re-voters' ``maj()`` tallies are one multinomial
-      over the closed-form vote law (or the bounded-chunk fallback when
-      the composition table is intractable — see
+      over the exact vote law (or the bounded-chunk sampler when both
+      tables are intractable — see
       :meth:`~repro.network.balls_bins.CountsDeliveryModel.sample_vote_counts`).
 
-    The executor supports only the faithful Stage-2 rule: the sampling
-    ablations (``with_replacement``, ``use_full_multiset``) condition on
-    per-node arrival totals and are served by the sequential and batched
-    engines.
+    :meth:`run_phase` advances every block of the delivery model through
+    one phase at once; :meth:`run` drives a one-block model through a whole
+    Stage-2 schedule.  The executor supports only the faithful Stage-2
+    rule: the sampling ablations (``with_replacement``,
+    ``use_full_multiset``) condition on per-node arrival totals and are
+    served by the sequential and batched engines.
 
     Parameters
     ----------
     delivery:
         A :class:`~repro.network.balls_bins.CountsDeliveryModel`.
     schedule:
-        The Stage-2 phase schedule (lengths and sample sizes).
+        The Stage-2 phase schedule :meth:`run` follows (``None`` when only
+        :meth:`run_phase` is used).
     random_state:
-        One shared randomness source, or a sequence with one per trial.
+        One shared randomness source, or a sequence with one per row.
     sampling_method, use_full_multiset:
         Accepted for interface parity; anything but the defaults raises
         ``ValueError``.
@@ -397,7 +403,7 @@ class CountsStage2Executor:
     def __init__(
         self,
         delivery: CountsDeliveryModel,
-        schedule: Stage2Schedule,
+        schedule: Optional[Stage2Schedule] = None,
         random_state: EnsembleRandomState = None,
         *,
         sampling_method: str = "without_replacement",
@@ -436,115 +442,76 @@ class CountsStage2Executor:
         if track_opinion is None:
             pooled = current.pooled_plurality_opinion()
             track_opinion = pooled if pooled > 0 else None
-        # Compile each distinct (num_rounds, sample_size) once up front:
-        # phases sharing a sample size (all the "short" Stage-2 phases do)
-        # then share one law object, tail table and vote-path decision.
-        compiled_laws = {}
-        for num_rounds, sample_size in zip(
-            self.schedule.phase_lengths, self.schedule.sample_sizes
-        ):
-            key = (int(num_rounds), int(sample_size))
-            if key not in compiled_laws:
-                compiled_laws[key] = self.delivery.compile_phase(
-                    num_rounds, sample_size
-                )
         records: List[EnsembleStage2PhaseRecord] = []
         for phase_index, (num_rounds, sample_size) in enumerate(
             zip(self.schedule.phase_lengths, self.schedule.sample_sizes)
         ):
-            record = self.run_phase(
-                current,
-                phase_index,
-                num_rounds,
-                sample_size,
-                track_opinion=track_opinion,
-                compiled=compiled_laws[(int(num_rounds), int(sample_size))],
+            records += self.run_phase(
+                current.counts,
+                [(phase_index, num_rounds, sample_size)],
+                [track_opinion],
             )
-            records.append(record)
         return current, records
-
-    def _sample_updaters(
-        self, group_sizes: np.ndarray, update_probability: np.ndarray
-    ) -> np.ndarray:
-        """Eligible re-voters per current-opinion group, shape ``(R, k+1)``.
-
-        One binomial per group; in per-trial mode trial ``r`` consumes
-        exactly ``k + 1`` binomial draws from its own generator.
-        """
-        num_trials = group_sizes.shape[0]
-        if is_generator_sequence(self._random_state):
-            generators = as_trial_generators(self._random_state, num_trials)
-            updaters = np.empty(group_sizes.shape, dtype=np.int64)
-            for trial, generator in enumerate(generators):
-                updaters[trial] = generator.binomial(
-                    group_sizes[trial], update_probability[trial]
-                )
-            return updaters
-        rng = as_generator(self._random_state)
-        return rng.binomial(
-            group_sizes, update_probability[:, np.newaxis]
-        ).astype(np.int64, copy=False)
 
     def run_phase(
         self,
-        state: EnsembleCountsState,
-        phase_index: int,
-        num_rounds: int,
-        sample_size: int,
-        *,
-        track_opinion: Optional[int] = None,
-        compiled: Optional[CompiledPhaseLaw] = None,
-    ) -> EnsembleStage2PhaseRecord:
-        """Execute a single counts Stage-2 phase, mutating ``state`` in place.
+        counts: np.ndarray,
+        phases: Sequence[Tuple[int, int, int]],
+        track_opinions: Sequence[Optional[int]],
+    ) -> List[EnsembleStage2PhaseRecord]:
+        """One Stage-2 phase for every block, updating ``counts`` in place.
 
-        ``compiled`` carries the phase's precomputed law constants (vote
-        path, warmed tables); :meth:`run` builds one per distinct phase
-        shape.  The phase's message histogram is validated once on entry
-        (in :meth:`~repro.network.balls_bins.CountsDeliveryModel.recolor`);
-        the downstream law/sampler calls reuse the validated arrays without
-        re-checking.
+        ``counts`` is the ``(A, k)`` matrix of the model's rows;
+        ``phases[b]`` is block ``b``'s ``(phase_index, num_rounds,
+        sample_size)`` and ``track_opinions[b]`` the opinion whose bias and
+        consensus its record carries (``None``: no bias, no consensus).
+        Returns one record per block.
         """
-        if compiled is None:
-            compiled = self.delivery.compile_phase(num_rounds, sample_size)
-        bias_before = (
-            state.bias_toward(track_opinion) if track_opinion is not None else None
+        delivery = self.delivery
+        randomness = self._random_state
+        sample_sizes = [sample_size for _, _, sample_size in phases]
+        histograms = delivery.phase_histograms(
+            counts, [num_rounds for _, num_rounds, _ in phases], randomness
         )
-        histograms = self.delivery.phase_histograms(
-            state.counts, num_rounds, self._random_state
+        noisy = delivery.recolor(histograms, randomness)
+        update_probability = delivery.update_probability(noisy, sample_sizes)
+        undecided = delivery.num_nodes - counts.sum(axis=1, dtype=np.int64)
+        group_sizes = np.concatenate([undecided[:, np.newaxis], counts], axis=1)
+        updaters = delivery.sample_updaters(
+            group_sizes, update_probability, randomness
         )
-        noisy = self.delivery.recolor(histograms, self._random_state)
-        update_probability = self.delivery.update_probability(
-            noisy, sample_size, validate=False
-        )
-        group_sizes = np.concatenate(
-            [state.undecided_counts()[:, np.newaxis], state.counts], axis=1
-        )
-        updaters = self._sample_updaters(group_sizes, update_probability)
-        votes = self.delivery.sample_vote_counts(
+        votes = delivery.sample_vote_counts(
             noisy,
             updaters.sum(axis=1, dtype=np.int64),
-            sample_size,
-            self._random_state,
-            vote_path=compiled.vote_path,
-            validate=False,
+            sample_sizes,
+            randomness,
         )
-        state.counts += votes - updaters[:, 1:]
-        bias_after = (
-            state.bias_toward(track_opinion) if track_opinion is not None else None
-        )
-        consensus_after = (
-            state.consensus_mask(track_opinion)
-            if track_opinion is not None
-            else np.zeros(state.num_trials, dtype=bool)
-        )
-        return EnsembleStage2PhaseRecord(
-            phase_index=phase_index,
-            num_rounds=num_rounds,
-            sample_size=sample_size,
-            updated_nodes=updaters.sum(axis=1, dtype=np.int64),
-            opinion_distributions=state.opinion_distributions(),
-            bias_before=bias_before,
-            bias_after=bias_after,
-            messages_sent=histograms.sum(axis=1, dtype=np.int64),
-            consensus_after=consensus_after,
-        )
+        new_counts = counts + votes - updaters[:, 1:]
+        records = []
+        for block, sl in enumerate(delivery.block_slices):
+            phase_index, num_rounds, sample_size = phases[block]
+            target = track_opinions[block]
+            num_nodes = delivery.block_num_nodes[block]
+            distributions = new_counts[sl] / num_nodes
+            if target is None:
+                bias_before = bias_after = None
+                consensus_after = np.zeros(sl.stop - sl.start, dtype=bool)
+            else:
+                bias_before = distribution_biases(counts[sl] / num_nodes, target)
+                bias_after = distribution_biases(distributions, target)
+                consensus_after = new_counts[sl, target - 1] == num_nodes
+            records.append(
+                EnsembleStage2PhaseRecord(
+                    phase_index=phase_index,
+                    num_rounds=num_rounds,
+                    sample_size=sample_size,
+                    updated_nodes=updaters[sl].sum(axis=1, dtype=np.int64),
+                    opinion_distributions=distributions,
+                    bias_before=bias_before,
+                    bias_after=bias_after,
+                    messages_sent=histograms[sl].sum(axis=1, dtype=np.int64),
+                    consensus_after=consensus_after,
+                )
+            )
+        counts[...] = new_counts
+        return records

@@ -45,9 +45,20 @@ __all__ = [
     "CountsState",
     "EnsembleCountsState",
     "coerce_to_ensemble_counts",
+    "distribution_biases",
 ]
 
 UNDECIDED = 0
+
+
+def distribution_biases(distributions: np.ndarray, opinion: int) -> np.ndarray:
+    """Definition-1 bias toward ``opinion`` of each row of an ``(R, k)``
+    opinion-distribution matrix: its share minus the largest rival share."""
+    if distributions.shape[1] == 1:
+        return distributions[:, 0]
+    rivals = distributions.copy()
+    rivals[:, opinion - 1] = -np.inf
+    return distributions[:, opinion - 1] - rivals.max(axis=1)
 
 
 class PopulationState:
@@ -427,12 +438,7 @@ class EnsembleState:
             raise ValueError(
                 f"opinion must be in [1, {self.num_opinions}], got {opinion}"
             )
-        distributions = self.opinion_distributions()
-        if self.num_opinions == 1:
-            return distributions[:, 0]
-        rivals = distributions.copy()
-        rivals[:, opinion - 1] = -np.inf
-        return distributions[:, opinion - 1] - rivals.max(axis=1)
+        return distribution_biases(self.opinion_distributions(), opinion)
 
     def plurality_opinions(self) -> np.ndarray:
         """The most supported opinion per trial, 0 for all-undecided trials."""
@@ -783,12 +789,7 @@ class EnsembleCountsState:
             raise ValueError(
                 f"opinion must be in [1, {self.num_opinions}], got {opinion}"
             )
-        distributions = self.opinion_distributions()
-        if self.num_opinions == 1:
-            return distributions[:, 0]
-        rivals = distributions.copy()
-        rivals[:, opinion - 1] = -np.inf
-        return distributions[:, opinion - 1] - rivals.max(axis=1)
+        return distribution_biases(self.opinion_distributions(), opinion)
 
     def plurality_opinions(self) -> np.ndarray:
         """The most supported opinion per trial, 0 for all-undecided trials."""

@@ -610,7 +610,7 @@ def stage1_trial_trajectories(
 
     if trial_engine == "counts":
         ensemble = EnsembleCountsState.from_state(initial_state, num_trials)
-        delivery = CountsDeliveryModel(num_nodes, noise)
+        delivery = CountsDeliveryModel([num_trials], [num_nodes], [noise])
         randomness = resolve_trial_randomness(
             random_state, num_trials, "per_trial"
         )
@@ -733,7 +733,9 @@ def stage2_trial_trajectories(
                 )
             else:
                 ensemble = EnsembleCountsState.from_ensemble(initial_state)
-            delivery = CountsDeliveryModel(num_nodes, noise)
+            delivery = CountsDeliveryModel(
+                [ensemble.num_trials], [num_nodes], [noise]
+            )
             executor = CountsStage2Executor(
                 delivery,
                 schedule,

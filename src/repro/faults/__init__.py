@@ -5,7 +5,7 @@ See :mod:`repro.faults.model` for the adversary families and
 statistics and how the engine resolver degrades the rest.
 """
 
-from repro.faults.delivery import FaultedCountsDeliveryModel, FaultedDeliveryEngine
+from repro.faults.delivery import FaultedDeliveryEngine
 from repro.faults.injection import (
     FaultedPhaseSampler,
     largest_remainder_split,
@@ -18,7 +18,6 @@ __all__ = [
     "FAULT_KINDS",
     "OBLIVIOUS_FAULT_KINDS",
     "FaultModel",
-    "FaultedCountsDeliveryModel",
     "FaultedDeliveryEngine",
     "FaultedPhaseSampler",
     "largest_remainder_split",

@@ -16,13 +16,17 @@ compare the two empirically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.network.mailbox import EnsembleReceivedMessages, ReceivedMessages
+from repro.network.pull_model import (
+    dense_majority_vote_law,
+    majority_vote_law,
+    resolve_vote_path,
+)
 from repro.noise.matrix import NoiseMatrix
 from repro.utils.rng import (
     EnsembleRandomState,
@@ -36,9 +40,7 @@ from repro.utils.validation import require_positive_int
 __all__ = [
     "BallsIntoBinsProcess",
     "ensemble_recolor_and_throw",
-    "CompiledPhaseLaw",
     "CountsDeliveryModel",
-    "HeterogeneousCountsDeliveryModel",
     "poisson_tail_probability",
 ]
 
@@ -99,26 +101,6 @@ def poisson_tail_probability(threshold: int, lam: np.ndarray) -> np.ndarray:
 
 
 # reprolint: counts-tier
-@dataclass(frozen=True)
-class CompiledPhaseLaw:
-    """Everything about a counts phase that is constant across its rounds.
-
-    Built once per distinct ``(num_rounds, sample_size)`` by
-    :meth:`CountsDeliveryModel.compile_phase` and reused for every round and
-    trial of the phase: the vote-law path decision (closed-form table, dense
-    large-sample table, or bounded-chunk fallback) is made once, and the
-    backing tables (Poisson-tail log-factorial, ``maj()`` composition
-    tables) are warmed into their caches at compile time, so the phase
-    samplers do no re-derivation.  ``sample_size`` is ``None`` for Stage-1
-    phases, which have no vote step.
-    """
-
-    num_rounds: int
-    sample_size: Optional[int] = None
-    vote_path: Optional[str] = None
-
-
-# reprolint: counts-tier
 class CountsDeliveryModel:
     """Counts-native phase delivery: Claim-1 recoloring + Poissonized bins.
 
@@ -126,9 +108,9 @@ class CountsDeliveryModel:
     is reduced to its message histogram (Claim 1's balls-into-bins
     reformulation, Definition 3): step 1 — every ball is re-colored through
     the noise matrix — is sampled *exactly* with one multinomial per color
-    (:meth:`recolor`).  Step 2 — throwing the balls into the ``n`` bins —
-    is summarized under the Poissonized process P (Definition 4, the
-    paper's own analysis device): every node independently receives
+    (:meth:`recolor`).  Step 2 — throwing the balls into the bins — is
+    summarized under the Poissonized process P (Definition 4, the paper's
+    own analysis device): every node independently receives
     ``Poisson(h_i / n)`` copies of opinion ``i``, which makes the per-node
     outcomes i.i.d. and therefore reducible to ``O(k)`` closed-form
     probabilities per trial:
@@ -142,437 +124,113 @@ class CountsDeliveryModel:
     * Stage-2 eligibility (:meth:`update_probability`): a node re-votes iff
       it received at least ``L`` messages, an event of probability
       ``P(Poisson(Lambda) >= L)``.
-    * Stage-2 votes (:meth:`vote_probabilities`): a size-``L`` uniform
+    * Stage-2 votes (:meth:`sample_vote_counts`): a size-``L`` uniform
       subsample of i.i.d.-colored arrivals is ``L`` i.i.d. draws from
-      ``h / B`` — exactly the observation law the closed-form ``maj()``
-      table consumes.
+      ``h / B`` — exactly the observation law the ``maj()`` vote law
+      consumes.
 
     Lemma 2 bounds the distance between process P and the real push process
     O, so protocol runs under this model agree with the per-node engines
-    statistically (checked by the engine-agreement test-suite); the
-    dynamics' counts engines do not use this class and are exact outright.
+    statistically (checked by the engine-agreement test-suite).
+
+    The rows of one ``(A, k)`` histogram matrix belong to contiguous
+    *blocks* — one block for a single run, one per grid point for a fused
+    sweep — each with its own population size, noise channel, Stage-2
+    sample size and optional fault sampler.  Merged evaluation is used only
+    for operations whose floating-point result is row-stable (elementwise
+    arithmetic and per-row reductions); the ``maj()`` vote law (a wide
+    matmul whose summation tree depends on the batch shape) is evaluated
+    per block at the block's own row count, and every random draw of a row
+    comes from that row's own stream.  A block's rows therefore get exactly
+    the values and draws a one-block model would give them, which is what
+    makes fused sweeps bitwise identical to a serial loop.
+
+    Parameters
+    ----------
+    block_sizes:
+        Rows per block, in row order.
+    num_nodes:
+        One population size per block: the (honest) nodes whose counts the
+        rows hold.
+    noises:
+        One :class:`~repro.noise.matrix.NoiseMatrix` per block; all blocks
+        must share the number of opinions ``k``.
+    samplers:
+        Optional, one :class:`~repro.faults.injection.FaultedPhaseSampler`
+        or ``None`` per block.  A sampled block's faulty balls join its
+        phase histograms before recoloring and are thrown into
+        ``num_nodes + sampler.num_faulty`` bins, while the rows keep
+        counting honest nodes only.  Only oblivious adversaries qualify:
+        the adaptive family conditions on per-node information the counts
+        reduction has discarded.
     """
-
-    def __init__(self, num_nodes: int, noise: NoiseMatrix) -> None:
-        self.num_nodes = require_positive_int(num_nodes, "num_nodes")
-        if not isinstance(noise, NoiseMatrix):
-            raise TypeError(
-                f"noise must be a NoiseMatrix, got {type(noise).__name__}"
-            )
-        self.noise = noise
-
-    @property
-    def num_opinions(self) -> int:
-        """Number of ball colors ``k``."""
-        return self.noise.num_opinions
-
-    def _validate_histograms(self, histograms: np.ndarray) -> np.ndarray:
-        array = np.asarray(histograms, dtype=np.int64)
-        if array.ndim != 2 or array.shape[1] != self.num_opinions:
-            raise ValueError(
-                f"histograms must have shape (R, {self.num_opinions}), "
-                f"got shape {array.shape}"
-            )
-        if array.size and array.min() < 0:
-            raise ValueError("histogram entries must be non-negative")
-        return array
-
-    def phase_histograms(
-        self,
-        counts: np.ndarray,
-        num_rounds: int,
-        random_state: EnsembleRandomState = None,
-    ) -> np.ndarray:
-        """The phase's message histograms from the senders' opinion counts.
-
-        Every opinionated node pushes once per round, so the base model
-        returns ``counts * num_rounds``.  Fault-injecting subclasses
-        override this to append adversarial balls (``random_state`` exists
-        for their benefit; the base draw is deterministic).
-        """
-        return np.asarray(counts, dtype=np.int64) * np.int64(num_rounds)
-
-    def resolve_vote_path(self, sample_size: int) -> str:
-        """Which sampler :meth:`sample_vote_counts` uses for ``sample_size``.
-
-        ``"table"`` — the closed-form composition table over
-        {no opinion, 1, …, k} (small samples); ``"dense"`` — the exact dense
-        table over opinionated observations only (large samples, any ``k=2``
-        and thousands for ``k=3``); ``"chunk"`` — the bounded-chunk
-        per-voter fallback (``O(num_voters)`` work).  The decision depends
-        only on ``(sample_size, k)``, so phase compilers hoist it.
-        """
-        from repro.network.pull_model import (  # local: avoid import cycle
-            dense_vote_law_is_tractable,
-            vote_table_is_tractable,
-        )
-
-        if vote_table_is_tractable(sample_size, self.num_opinions):
-            return "table"
-        if dense_vote_law_is_tractable(sample_size, self.num_opinions):
-            return "dense"
-        return "chunk"
-
-    def compile_phase(
-        self, num_rounds: int, sample_size: Optional[int] = None
-    ) -> CompiledPhaseLaw:
-        """Hoist a phase's round/trial-invariant law work into one object.
-
-        Decides the vote-law path once and warms the caches the phase
-        samplers read (the Poisson-tail log-factorial table and, on the
-        dense path, the ``maj()`` composition table), so that per-phase
-        execution touches only batch-sized arrays.
-        """
-        if sample_size is None:
-            return CompiledPhaseLaw(num_rounds=int(num_rounds))
-        sample_size = int(sample_size)
-        vote_path = self.resolve_vote_path(sample_size)
-        _poisson_tail_tables(sample_size)
-        if vote_path == "dense":
-            from repro.network.pull_model import _dense_majority_vote_table
-
-            _dense_majority_vote_table(sample_size, self.num_opinions)
-        return CompiledPhaseLaw(
-            num_rounds=int(num_rounds),
-            sample_size=sample_size,
-            vote_path=vote_path,
-        )
-
-    def recolor(
-        self,
-        histograms: np.ndarray,
-        random_state: EnsembleRandomState = None,
-        *,
-        validate: bool = True,
-    ) -> np.ndarray:
-        """Step 1 of Definition 3 for ``R`` trials: exact noise re-coloring.
-
-        ``histograms`` has shape ``(R, k)``; the result is the post-noise
-        histogram matrix (same shape, int64, row sums preserved).  With a
-        per-trial randomness sequence trial ``r`` consumes exactly the
-        draws :meth:`NoiseMatrix.apply_to_counts` would make for its row.
-        Executors that built the histograms themselves pass
-        ``validate=False`` to skip the redundant shape/sign re-checks.
-        """
-        if validate:
-            histograms = self._validate_histograms(histograms)
-        return self.noise.apply_to_count_matrix(
-            histograms, random_state
-        ).astype(np.int64, copy=False)
-
-    def adoption_probabilities(
-        self, noisy_histograms: np.ndarray, *, validate: bool = True
-    ) -> np.ndarray:
-        """Per-undecided-node Stage-1 outcome law, shape ``(R, k + 1)``.
-
-        Column 0 is "received nothing, stay undecided"; columns ``1..k``
-        are the adoption probabilities of each opinion.
-        """
-        noisy = (
-            self._validate_histograms(noisy_histograms)
-            if validate
-            else noisy_histograms
-        )
-        totals = noisy.sum(axis=1, dtype=np.int64)
-        lam = totals / self.num_nodes
-        none_mass = np.exp(-lam)
-        shares = np.divide(
-            noisy,
-            totals[:, np.newaxis],
-            out=np.zeros(noisy.shape, dtype=float),
-            where=totals[:, np.newaxis] > 0,
-        )
-        probabilities = (1.0 - none_mass)[:, np.newaxis] * shares
-        return np.concatenate(
-            [none_mass[:, np.newaxis], probabilities], axis=1
-        )
-
-    def update_probability(
-        self,
-        noisy_histograms: np.ndarray,
-        sample_size: int,
-        *,
-        validate: bool = True,
-    ) -> np.ndarray:
-        """Per-node probability of receiving at least ``sample_size``
-        messages during the phase, shape ``(R,)``."""
-        noisy = (
-            self._validate_histograms(noisy_histograms)
-            if validate
-            else noisy_histograms
-        )
-        totals = noisy.sum(axis=1, dtype=np.int64)
-        return poisson_tail_probability(
-            int(sample_size), totals / self.num_nodes
-        )
-
-    def vote_probabilities(
-        self, noisy_histograms: np.ndarray, *, validate: bool = True
-    ) -> np.ndarray:
-        """The i.i.d. color law of a re-voting node's sample, shape ``(R, k)``.
-
-        Rows with an empty histogram come back all-zero (no node can be
-        eligible there, so the law is never used).
-        """
-        noisy = (
-            self._validate_histograms(noisy_histograms)
-            if validate
-            else noisy_histograms
-        )
-        totals = noisy.sum(axis=1, keepdims=True, dtype=np.int64)
-        return np.divide(
-            noisy,
-            totals,
-            out=np.zeros(noisy.shape, dtype=float),
-            where=totals > 0,
-        )
-
-    def sample_adoptions(
-        self,
-        noisy_histograms: np.ndarray,
-        undecided_counts: np.ndarray,
-        random_state: EnsembleRandomState = None,
-        *,
-        validate: bool = True,
-    ) -> np.ndarray:
-        """Stage-1 end-of-phase adoptions, shape ``(R, k + 1)`` int64.
-
-        Entry ``(r, 0)`` is the number of trial-``r`` undecided nodes that
-        received nothing and stay undecided; entry ``(r, j)`` the number
-        adopting opinion ``j`` — one multinomial per trial over the
-        :meth:`adoption_probabilities` law.
-        """
-        if validate:
-            noisy = self._validate_histograms(noisy_histograms)
-            undecided = np.asarray(undecided_counts, dtype=np.int64)
-            if undecided.shape != (noisy.shape[0],):
-                raise ValueError(
-                    f"undecided_counts must have shape ({noisy.shape[0]},), "
-                    f"got {undecided.shape}"
-                )
-            if undecided.size and undecided.min() < 0:
-                raise ValueError("undecided counts must be non-negative")
-        else:
-            noisy = noisy_histograms
-            undecided = undecided_counts
-        probabilities = self.adoption_probabilities(noisy, validate=False)
-        if is_generator_sequence(random_state):
-            generators = as_trial_generators(random_state, noisy.shape[0])
-            adopted = np.empty(
-                (noisy.shape[0], self.num_opinions + 1), dtype=np.int64
-            )
-            for trial, generator in enumerate(generators):
-                adopted[trial] = generator.multinomial(
-                    int(undecided[trial]), probabilities[trial]
-                )
-            return adopted
-        rng = as_generator(random_state)
-        return rng.multinomial(undecided, probabilities).astype(
-            np.int64, copy=False
-        )
 
     #: Bounded chunk size of the per-voter fallback sampler: keeps every
     #: intermediate array ``O(chunk * k)`` regardless of how many of the
     #: ``n`` nodes re-vote in a phase.
     VOTE_CHUNK = 32_768
 
-    def sample_vote_counts(
-        self,
-        noisy_histograms: np.ndarray,
-        num_voters: np.ndarray,
-        sample_size: int,
-        random_state: EnsembleRandomState = None,
-        *,
-        vote_path: Optional[str] = None,
-        validate: bool = True,
-    ) -> np.ndarray:
-        """Per-trial tallies of ``num_voters`` i.i.d. ``maj()`` votes.
-
-        Each eligible node's vote is ``maj()`` of ``sample_size`` i.i.d.
-        draws from the trial's :meth:`vote_probabilities` law (the exact
-        Stage-2 sample law under Poissonization).  Three samplers, chosen
-        by :meth:`resolve_vote_path` (or the precomputed ``vote_path`` of a
-        :class:`CompiledPhaseLaw`):
-
-        * ``"table"`` — the closed-form vote law; one multinomial per trial;
-        * ``"dense"`` — the dense large-sample vote law (exact, evaluated in
-          log space over opinionated compositions only); one multinomial per
-          trial, so the phase cost is independent of ``num_voters``.  The
-          dense law is the *same distribution* as the chunk fallback it
-          replaces but consumes different raw draws, so enabling it on a
-          formerly chunked phase is a distributional (not bitwise) change —
-          see ``docs/performance.md``;
-        * ``"chunk"`` — bounded chunks of :data:`VOTE_CHUNK` per-voter
-          compositions (``O(num_voters)`` work but never an ``n``-sized
-          array), for ``(sample_size, k)`` beyond both table budgets.
-
-        Returns an ``(R, k)`` int64 matrix.
-        """
-        from repro.network.pull_model import (  # local: avoid import cycle
-            dense_majority_vote_law,
-            majority_vote_law,
-        )
-
-        if validate:
-            noisy = self._validate_histograms(noisy_histograms)
-            voters = np.asarray(num_voters, dtype=np.int64)
-            if voters.shape != (noisy.shape[0],):
-                raise ValueError(
-                    f"num_voters must have shape ({noisy.shape[0]},), "
-                    f"got {voters.shape}"
-                )
-            if voters.size and voters.min() < 0:
-                raise ValueError("voter counts must be non-negative")
-        else:
-            noisy = noisy_histograms
-            voters = num_voters
-        sample_size = int(sample_size)
-        if sample_size < 1:
-            raise ValueError(f"sample_size must be >= 1, got {sample_size}")
-        num_trials, num_opinions = noisy.shape
-        vote_law_probabilities = self.vote_probabilities(noisy, validate=False)
-        if vote_path is None:
-            vote_path = self.resolve_vote_path(sample_size)
-        if vote_path == "table":
-            observation_law = np.concatenate(
-                [np.zeros((num_trials, 1)), vote_law_probabilities], axis=1
-            )
-            vote_pmf = np.clip(
-                majority_vote_law(observation_law, sample_size), 0.0, 1.0
-            )[:, 1:]
-            # Renormalize away the rounding dust; the no-vote column is
-            # exactly zero because every sampled message carries an opinion.
-            row_sums = vote_pmf.sum(axis=1, keepdims=True)
-            vote_pmf = np.divide(
-                vote_pmf,
-                row_sums,
-                out=np.full(vote_pmf.shape, 1.0 / num_opinions),
-                where=row_sums > 0,
-            )
-        elif vote_path == "dense":
-            vote_pmf = dense_majority_vote_law(
-                vote_law_probabilities, sample_size
-            )
-        elif vote_path != "chunk":
-            raise ValueError(
-                f"vote_path must be 'table', 'dense' or 'chunk', got "
-                f"{vote_path!r}"
-            )
-        if vote_path != "chunk":
-            if is_generator_sequence(random_state):
-                generators = as_trial_generators(random_state, num_trials)
-                votes = np.empty((num_trials, num_opinions), dtype=np.int64)
-                for trial, generator in enumerate(generators):
-                    votes[trial] = generator.multinomial(
-                        int(voters[trial]), vote_pmf[trial]
-                    )
-                return votes
-            rng = as_generator(random_state)
-            return rng.multinomial(voters, vote_pmf).astype(
-                np.int64, copy=False
-            )
-        # Chunked per-voter fallback: enumerate each voter's sample
-        # composition directly (a k-cell multinomial) and tally the argmax
-        # with uniform tie-break keys — distribution-identical to the
-        # closed form, with every array bounded by VOTE_CHUNK.
-        if is_generator_sequence(random_state):
-            generators = as_trial_generators(random_state, num_trials)
-        else:
-            generators = [as_generator(random_state)] * num_trials
-        votes = np.zeros((num_trials, num_opinions), dtype=np.int64)
-        for trial, generator in enumerate(generators):
-            remaining = int(voters[trial])
-            if remaining == 0:
-                continue
-            pvals = vote_law_probabilities[trial]
-            if pvals.sum() <= 0:
-                raise ValueError(
-                    "cannot sample votes from an empty message histogram"
-                )
-            while remaining > 0:
-                chunk = min(remaining, self.VOTE_CHUNK)
-                compositions = generator.multinomial(
-                    sample_size, pvals, size=chunk
-                )
-                tie_keys = generator.random(compositions.shape)
-                winners = (compositions + tie_keys).argmax(axis=1)
-                votes[trial] += np.bincount(
-                    winners, minlength=num_opinions
-                ).astype(np.int64, copy=False)
-                remaining -= chunk
-        return votes
-
-
-# reprolint: counts-tier
-class HeterogeneousCountsDeliveryModel:
-    """Counts-native phase delivery for rows with *per-row parameters*.
-
-    The sweep engine's delivery model: rows of one merged ``(A, k)``
-    histogram matrix belong to contiguous blocks (one block per grid
-    point), each with its own population size ``n``, noise channel and
-    Stage-2 sample size.  Every method reproduces, row for row, exactly
-    the values and random draws that a homogeneous
-    :class:`CountsDeliveryModel` built for that row's block would produce
-    on the block alone — merged evaluation is used only for operations
-    whose floating-point result is row-stable (elementwise arithmetic and
-    per-row reductions), while the ``maj()`` vote law (a wide matmul whose
-    summation tree depends on the batch shape) is always evaluated per
-    block at the block's own row count.  This is what makes the sweep's
-    per-point results bitwise identical to a serial per-scenario loop.
-
-    Parameters
-    ----------
-    block_slices:
-        Contiguous, non-overlapping slices partitioning ``range(A)``, one
-        per grid point.
-    num_nodes:
-        One population size per block.
-    noises:
-        One :class:`~repro.noise.matrix.NoiseMatrix` per block; all blocks
-        must share the same number of opinions ``k``.
-    """
-
     def __init__(
         self,
-        block_slices: Sequence[slice],
+        block_sizes: Sequence[int],
         num_nodes: Sequence[int],
         noises: Sequence[NoiseMatrix],
+        samplers: Optional[Sequence] = None,
     ) -> None:
-        if not block_slices:
+        if not noises:
             raise ValueError("at least one block is required")
-        if not (len(block_slices) == len(num_nodes) == len(noises)):
+        if samplers is None:
+            samplers = [None] * len(noises)
+        if not len(block_sizes) == len(num_nodes) == len(noises) == len(samplers):
             raise ValueError(
-                "block_slices, num_nodes and noises must have equal length"
+                "block_sizes, num_nodes, noises and samplers must have equal "
+                "length"
             )
         for noise in noises:
             if not isinstance(noise, NoiseMatrix):
                 raise TypeError(
                     f"noise must be a NoiseMatrix, got {type(noise).__name__}"
                 )
+        for sampler in samplers:
+            if sampler is not None and not sampler.model.is_oblivious:
+                raise ValueError(
+                    "the counts tier is only exact for oblivious adversaries "
+                    f"(crash/omission/liar), got kind={sampler.model.kind!r}; "
+                    "use the batched tier (or allow_degradation=True)"
+                )
         self.num_opinions = noises[0].num_opinions
         if any(noise.num_opinions != self.num_opinions for noise in noises):
             raise ValueError(
                 "every block must have the same number of opinions"
             )
-        self.block_slices = list(block_slices)
+        self.block_sizes = [
+            require_positive_int(size, "block_sizes") for size in block_sizes
+        ]
+        bounds = np.cumsum([0] + self.block_sizes).tolist()
+        self.block_slices = [
+            slice(start, stop) for start, stop in zip(bounds[:-1], bounds[1:])
+        ]
         self.block_num_nodes = [
             require_positive_int(n, "num_nodes") for n in num_nodes
         ]
         self.noises = list(noises)
-        total = 0
-        rows_nodes = []
-        for block, sl in enumerate(self.block_slices):
-            if sl.start != total or sl.stop <= sl.start:
-                raise ValueError(
-                    "block_slices must be contiguous, non-empty and ordered"
-                )
-            total = sl.stop
-            rows_nodes.append(
-                np.full(sl.stop - sl.start, self.block_num_nodes[block], dtype=np.int64)
-            )
-        self.num_rows = total
-        #: Per-row population size, shape ``(A,)``.
-        self.num_nodes = np.concatenate(rows_nodes)
+        self.samplers = list(samplers)
+        self.num_rows = bounds[-1]
+        #: Per-row population size (the rows' own nodes), shape ``(A,)``.
+        self.num_nodes = self._per_row(self.block_num_nodes)
+        #: Per-row bin count ``Lambda = B / bins`` divides by, shape ``(A,)``.
+        self.num_bins = self._per_row(
+            [
+                n + (0 if sampler is None else sampler.num_faulty)
+                for n, sampler in zip(self.block_num_nodes, self.samplers)
+            ]
+        )
+
+    def _per_row(self, block_values: Sequence[int]) -> np.ndarray:
+        """Expand one integer per block to one per row, shape ``(A,)``."""
+        return np.repeat(
+            np.asarray(block_values, dtype=np.int64), self.block_sizes
+        )
 
     def _validate_histograms(self, histograms: np.ndarray) -> np.ndarray:
         array = np.asarray(histograms, dtype=np.int64)
@@ -585,32 +243,48 @@ class HeterogeneousCountsDeliveryModel:
             raise ValueError("histogram entries must be non-negative")
         return array
 
-    def _resolve_vote_path(self, sample_size: int) -> str:
-        """Cached per-``L`` vote-path decision (see ``resolve_vote_path``).
+    def _block_randomness(self, generators, block: int):
+        """Block ``block``'s streams: its rows' generators, or the shared one."""
+        if is_generator_sequence(generators):
+            sl = self.block_slices[block]
+            return generators[sl.start : sl.stop]
+        return generators
 
-        The decision depends only on ``(sample_size, num_opinions)``, so it
-        is resolved once per distinct sample size and reused by every phase
-        substep instead of re-probing the tractability predicates per call.
-        """
-        cache = self.__dict__.setdefault("_vote_path_cache", {})
-        path = cache.get(sample_size)
-        if path is None:
-            probe = CountsDeliveryModel(
-                self.block_num_nodes[0], self.noises[0]
-            )
-            path = probe.resolve_vote_path(sample_size)
-            cache[sample_size] = path
-        return path
-
-    def recolor(
-        self, histograms: np.ndarray, generators
+    def phase_histograms(
+        self,
+        counts: np.ndarray,
+        num_rounds: Sequence[int],
+        generators,
     ) -> np.ndarray:
-        """Exact per-row noise re-coloring (one block's channel per row).
+        """The phase's message histograms from the senders' opinion counts.
+
+        Every opinionated node pushes once per round, so a block's rows
+        carry ``counts * num_rounds[block]`` honest balls; a block with a
+        fault sampler adds that phase's faulty ball deltas, drawn from the
+        block's own streams before any recoloring draw.
+        """
+        histograms = counts * self._per_row(num_rounds)[:, np.newaxis]
+        for block, sampler in enumerate(self.samplers):
+            if sampler is not None:
+                sl = self.block_slices[block]
+                histograms[sl] += sampler.phase_ball_deltas(
+                    counts[sl],
+                    num_rounds[block],
+                    self._block_randomness(generators, block),
+                )
+        return histograms
+
+    def recolor(self, histograms: np.ndarray, generators) -> np.ndarray:
+        """Step 1 of Definition 3: exact per-row noise re-coloring.
 
         ``generators`` is either one source per row (per-trial mode: row
-        ``r`` consumes exactly its serial draws) or a single shared stream
-        (batched mode: one column-wise multinomial per block and source
-        opinion — far fewer generator calls, different draw order).
+        ``r`` consumes exactly the draws
+        :meth:`~repro.noise.matrix.NoiseMatrix.apply_to_counts` would make)
+        or a single shared stream (batched mode: one column-wise
+        multinomial per source opinion across every block — far fewer
+        generator calls, different draw order).  The histograms are
+        validated here, once per phase; the samplers downstream reuse the
+        validated arrays.
         """
         histograms = self._validate_histograms(histograms)
         if is_generator_sequence(generators):
@@ -632,11 +306,10 @@ class HeterogeneousCountsDeliveryModel:
     def _stacked_noise_rows(self) -> np.ndarray:
         """Per-source per-row channel laws, shape ``(k, A, k)``.
 
-        ``stacked[s, r]`` is row ``s`` of the noise matrix governing merged
-        row ``r`` — the pvals layout that lets shared-stream recoloring draw
-        one batched multinomial per *source opinion* across every block at
-        once, instead of one numpy call per block and source.  Built once
-        per (cached) submodel.
+        ``stacked[s, r]`` is row ``s`` of the noise matrix governing row
+        ``r`` — the pvals layout that lets shared-stream recoloring draw one
+        batched multinomial per *source opinion* across every block at
+        once.  Built once per model.
         """
         cached = self.__dict__.get("_stacked_noise_rows_cache")
         if cached is None:
@@ -649,11 +322,14 @@ class HeterogeneousCountsDeliveryModel:
             self.__dict__["_stacked_noise_rows_cache"] = cached
         return cached
 
-    def adoption_probabilities(self, noisy_histograms: np.ndarray) -> np.ndarray:
-        """Stage-1 outcome laws with per-row ``n``, shape ``(A, k + 1)``."""
-        noisy = self._validate_histograms(noisy_histograms)
+    def adoption_probabilities(self, noisy: np.ndarray) -> np.ndarray:
+        """Per-undecided-node Stage-1 outcome law, shape ``(A, k + 1)``.
+
+        Column 0 is "received nothing, stay undecided"; columns ``1..k``
+        are the adoption probabilities of each opinion.
+        """
         totals = noisy.sum(axis=1, dtype=np.int64)
-        lam = totals / self.num_nodes
+        lam = totals / self.num_bins
         none_mass = np.exp(-lam)
         shares = np.divide(
             noisy,
@@ -668,13 +344,17 @@ class HeterogeneousCountsDeliveryModel:
 
     def sample_adoptions(
         self,
-        noisy_histograms: np.ndarray,
+        noisy: np.ndarray,
         undecided_counts: np.ndarray,
         generators,
     ) -> np.ndarray:
-        """Stage-1 adoptions: one multinomial per row from its own stream
-        (per-trial mode) or one batched multinomial (shared-stream mode)."""
-        noisy = self._validate_histograms(noisy_histograms)
+        """Stage-1 end-of-phase adoptions, shape ``(A, k + 1)`` int64.
+
+        Entry ``(r, 0)`` is the number of row-``r`` undecided nodes that
+        received nothing and stay undecided; entry ``(r, j)`` the number
+        adopting opinion ``j`` — one multinomial per row from its own
+        stream (per-trial mode) or one batched multinomial (shared stream).
+        """
         undecided = np.asarray(undecided_counts, dtype=np.int64)
         probabilities = self.adoption_probabilities(noisy)
         if not is_generator_sequence(generators):
@@ -693,17 +373,16 @@ class HeterogeneousCountsDeliveryModel:
         return adopted
 
     def update_probability(
-        self, noisy_histograms: np.ndarray, sample_sizes: np.ndarray
+        self, noisy: np.ndarray, sample_sizes: Sequence[int]
     ) -> np.ndarray:
-        """Per-row Stage-2 eligibility with per-row thresholds.
+        """Per-row probability of receiving at least ``L`` messages.
 
-        ``sample_sizes`` is an ``(A,)`` integer vector; rows sharing a
-        threshold are evaluated in one merged (row-stable) tail call.
+        ``sample_sizes`` holds one ``L`` per block; rows sharing a threshold
+        are evaluated in one merged (row-stable) tail call.
         """
-        noisy = self._validate_histograms(noisy_histograms)
-        thresholds = np.asarray(sample_sizes, dtype=np.int64)
+        thresholds = self._per_row(sample_sizes)
         totals = noisy.sum(axis=1, dtype=np.int64)
-        lam = totals / self.num_nodes
+        lam = totals / self.num_bins
         tail = np.empty(self.num_rows, dtype=float)
         for threshold in np.unique(thresholds):
             mask = thresholds == threshold
@@ -716,27 +395,32 @@ class HeterogeneousCountsDeliveryModel:
         update_probability: np.ndarray,
         generators,
     ) -> np.ndarray:
-        """Stage-2 re-voter counts: one binomial per row (per-trial mode)
-        or one batched binomial over the whole matrix (shared-stream)."""
-        group_sizes = np.asarray(group_sizes, dtype=np.int64)
-        probabilities = np.asarray(update_probability)
+        """Stage-2 re-voters per current-opinion group, shape ``(A, k + 1)``.
+
+        One binomial per group: row ``r`` consumes exactly ``k + 1``
+        binomial draws from its own stream (per-trial mode), or one
+        batched binomial covers the whole matrix (shared stream).
+        """
         if not is_generator_sequence(generators):
             rng = as_generator(generators)
             return rng.binomial(
-                group_sizes, probabilities[:, np.newaxis]
+                group_sizes, update_probability[:, np.newaxis]
             ).astype(np.int64, copy=False)
         updaters = np.empty(group_sizes.shape, dtype=np.int64)
         sizes = group_sizes.tolist()
-        probability_list = probabilities.tolist()
+        probability_list = update_probability.tolist()
         for row in range(updaters.shape[0]):
             updaters[row] = generators[row].binomial(
                 sizes[row], probability_list[row]
             )
         return updaters
 
-    def vote_probabilities(self, noisy_histograms: np.ndarray) -> np.ndarray:
-        """The per-row i.i.d. color law of a re-voter's sample."""
-        noisy = self._validate_histograms(noisy_histograms)
+    def vote_probabilities(self, noisy: np.ndarray) -> np.ndarray:
+        """The i.i.d. color law of a re-voting node's sample, shape ``(A, k)``.
+
+        Rows with an empty histogram come back all-zero (no node can be
+        eligible there, so the law is never used).
+        """
         totals = noisy.sum(axis=1, keepdims=True, dtype=np.int64)
         return np.divide(
             noisy,
@@ -747,31 +431,35 @@ class HeterogeneousCountsDeliveryModel:
 
     def sample_vote_counts(
         self,
-        noisy_histograms: np.ndarray,
+        noisy: np.ndarray,
         num_voters: np.ndarray,
         sample_sizes: Sequence[int],
-        generators: Sequence,
+        generators,
     ) -> np.ndarray:
-        """Per-row ``maj()`` vote tallies with a per-block sample size.
+        """Per-row tallies of ``num_voters`` i.i.d. ``maj()`` votes.
 
-        The vote law is evaluated *per block* (at the block's own row
-        shape — the wide composition matmul is not row-stable across batch
-        sizes); the clip/renormalization and the per-row multinomials are
-        merged.  Blocks beyond the closed-form table budget use the dense
-        large-sample law (evaluated row by row, hence row-stable) when
-        tractable, and otherwise fall back to the homogeneous model's
-        bounded-chunk sampler on their slice, consuming exactly the serial
-        draws.
+        Each eligible node's vote is ``maj()`` of ``L`` i.i.d. draws from
+        its row's :meth:`vote_probabilities` law (the exact Stage-2 sample
+        law under Poissonization), with ``L = sample_sizes[block]``.  The
+        sampler is chosen per block by
+        :func:`~repro.network.pull_model.resolve_vote_path`:
+
+        * ``"table"`` — the closed-form vote law, evaluated at the block's
+          own row shape; one multinomial per row;
+        * ``"dense"`` — the dense large-sample vote law (exact, evaluated
+          row by row in log space over opinionated compositions only); one
+          multinomial per row, so the phase cost is independent of
+          ``num_voters``.  It is the *same distribution* as the chunk
+          sampler but consumes different raw draws — see
+          ``docs/performance.md``;
+        * ``"chunk"`` — bounded chunks of :data:`VOTE_CHUNK` per-voter
+          compositions (``O(num_voters)`` work but never an ``n``-sized
+          array), for ``(L, k)`` beyond both table budgets.
+
+        Returns an ``(A, k)`` int64 matrix.
         """
-        from repro.network.pull_model import (  # local: avoid import cycle
-            dense_majority_vote_law,
-            majority_vote_law,
-        )
-
-        noisy = self._validate_histograms(noisy_histograms)
         voters = np.asarray(num_voters, dtype=np.int64)
         per_trial = is_generator_sequence(generators)
-        shared_rng = None if per_trial else as_generator(generators)
         vote_law_probabilities = self.vote_probabilities(noisy)
         observation_law = np.concatenate(
             [np.zeros((self.num_rows, 1)), vote_law_probabilities], axis=1
@@ -783,7 +471,7 @@ class HeterogeneousCountsDeliveryModel:
         dense_rows = np.zeros(self.num_rows, dtype=bool)
         for block, sl in enumerate(self.block_slices):
             sample_size = int(sample_sizes[block])
-            vote_path = self._resolve_vote_path(sample_size)
+            vote_path = resolve_vote_path(sample_size, self.num_opinions)
             if vote_path == "table":
                 law[sl] = majority_vote_law(observation_law[sl], sample_size)
                 tractable_rows[sl] = True
@@ -793,17 +481,16 @@ class HeterogeneousCountsDeliveryModel:
                 )
                 dense_rows[sl] = True
             else:
-                fallback = CountsDeliveryModel(
-                    self.block_num_nodes[block], self.noises[block]
-                )
-                votes[sl] = fallback.sample_vote_counts(
-                    noisy[sl],
+                votes[sl] = self._chunk_vote_counts(
+                    vote_law_probabilities[sl],
                     voters[sl],
                     sample_size,
-                    list(generators[sl]) if per_trial else shared_rng,
+                    self._block_randomness(generators, block),
                 )
         law_rows = tractable_rows | dense_rows
         if law_rows.any():
+            # Renormalize away the rounding dust; the no-vote column is
+            # exactly zero because every sampled message carries an opinion.
             vote_pmf = np.clip(law, 0.0, 1.0)[:, 1:]
             row_sums = vote_pmf.sum(axis=1, keepdims=True)
             vote_pmf = np.divide(
@@ -821,9 +508,50 @@ class HeterogeneousCountsDeliveryModel:
                         voters_list[row], vote_pmf[row]
                     )
             else:
-                votes[law_rows] = shared_rng.multinomial(
+                votes[law_rows] = as_generator(generators).multinomial(
                     voters[law_rows], vote_pmf[law_rows]
                 )
+        return votes
+
+    def _chunk_vote_counts(
+        self,
+        vote_law_probabilities: np.ndarray,
+        voters: np.ndarray,
+        sample_size: int,
+        generators,
+    ) -> np.ndarray:
+        """The bounded-chunk per-voter vote sampler of one block.
+
+        Enumerates each voter's sample composition directly (a ``k``-cell
+        multinomial) and tallies the argmax with uniform tie-break keys —
+        distribution-identical to the closed form, with every array bounded
+        by :data:`VOTE_CHUNK`.  Per chunk the compositions are drawn before
+        the tie-break keys; a zero-voter row draws nothing.
+        """
+        num_rows, num_opinions = vote_law_probabilities.shape
+        if not is_generator_sequence(generators):
+            generators = [as_generator(generators)] * num_rows
+        votes = np.zeros((num_rows, num_opinions), dtype=np.int64)
+        for row, generator in enumerate(generators):
+            remaining = int(voters[row])
+            if remaining == 0:
+                continue
+            pvals = vote_law_probabilities[row]
+            if pvals.sum() <= 0:
+                raise ValueError(
+                    "cannot sample votes from an empty message histogram"
+                )
+            while remaining > 0:
+                chunk = min(remaining, self.VOTE_CHUNK)
+                compositions = generator.multinomial(
+                    sample_size, pvals, size=chunk
+                )
+                tie_keys = generator.random(compositions.shape)
+                winners = (compositions + tie_keys).argmax(axis=1)
+                votes[row] += np.bincount(
+                    winners, minlength=num_opinions
+                ).astype(np.int64, copy=False)
+                remaining -= chunk
         return votes
 
 

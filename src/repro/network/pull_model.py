@@ -56,6 +56,7 @@ __all__ = [
     "vote_table_is_tractable",
     "dense_majority_vote_law",
     "dense_vote_law_is_tractable",
+    "resolve_vote_path",
     "vote_law_cache_info",
     "clear_vote_law_cache",
 ]
@@ -335,6 +336,23 @@ def dense_vote_law_is_tractable(sample_size: int, num_opinions: int) -> bool:
         and (sample_size + 1) ** (num_opinions - 1)
         <= _DENSE_VOTE_LAW_MAX_GRID
     )
+
+
+def resolve_vote_path(sample_size: int, num_opinions: int) -> str:
+    """Which sampler the counts tier's Stage-2 vote step uses for ``L``.
+
+    ``"table"`` — the closed-form composition table over {no opinion, 1,
+    …, k} (small samples); ``"dense"`` — the exact dense table over
+    opinionated observations only (large samples: any ``L`` for ``k = 2``
+    and thousands for ``k = 3``); ``"chunk"`` — the bounded-chunk
+    per-voter sampler (``O(num_voters)`` work).  The choice depends only on
+    ``(sample_size, k)``; the tables behind it are LRU-cached.
+    """
+    if vote_table_is_tractable(sample_size, num_opinions):
+        return "table"
+    if dense_vote_law_is_tractable(sample_size, num_opinions):
+        return "dense"
+    return "chunk"
 
 
 @lru_cache(maxsize=32)

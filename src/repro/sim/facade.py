@@ -26,9 +26,10 @@ from repro.core.analytic import (
     exact_protocol_is_tractable,
 )
 from repro.core.protocol import (
-    CountsProtocol,
+    CountsProtocolTask,
     EnsembleProtocol,
     TwoStageProtocol,
+    run_heterogeneous_counts_protocol,
 )
 from repro.core.state import PopulationState
 from repro.dynamics.analytic import (
@@ -36,11 +37,7 @@ from repro.dynamics.analytic import (
     MeanFieldDynamics,
     exact_dynamics_is_tractable,
 )
-from repro.faults import (
-    FaultedCountsDeliveryModel,
-    FaultedDeliveryEngine,
-    FaultedPhaseSampler,
-)
+from repro.faults import FaultedDeliveryEngine, FaultedPhaseSampler
 from repro.network.pull_model import vote_law_cache_info
 from repro.network.topology import GraphPushModel, standard_topology
 from repro.noise.matrix import NoiseMatrix
@@ -389,42 +386,46 @@ def _protocol_batched(
     )
 
 
+# reprolint: counts-tier
+def _protocol_task(scenario: Scenario) -> CountsProtocolTask:
+    """The counts-protocol task of one scenario.
+
+    :func:`simulate` runs it as a one-task batch and
+    :func:`~repro.sim.sweep.simulate_sweep` fuses it with a grid's other
+    counts points, so both consume the same draws.  Faulted scenarios keep
+    honest-only counts as state while the task's sampler adds the faulty
+    balls, thrown into the full ``n`` bins (so the Poissonized rate
+    ``B / n`` counts faulty balls and faulty mailboxes alike); only
+    oblivious adversaries reach this tier.
+    """
+    sampler: Optional[FaultedPhaseSampler] = None
+    if scenario.faults is not None:
+        initial_counts, _ = scenario.fault_split()
+        sampler = _fault_sampler(scenario)
+    else:
+        # Counts-native entry state: same opinion counts as the per-node
+        # construction, but O(k) — n never gets an array axis on this tier.
+        initial_counts = scenario.initial_counts_state()
+    return CountsProtocolTask(
+        num_nodes=initial_counts.num_nodes,
+        noise=scenario.build_noise(),
+        initial_state=initial_counts,
+        num_trials=scenario.num_trials,
+        epsilon=scenario.epsilon,
+        target_opinion=scenario.target_opinion(),
+        random_state=scenario.seed,
+        round_scale=scenario.round_scale,
+        sampler=sampler,
+    )
+
+
 @ENGINE_REGISTRY.register("rumor", "counts")
 @ENGINE_REGISTRY.register("plurality", "counts")
 def _protocol_counts(
     scenario: Scenario, noise: NoiseMatrix, engine: str
 ) -> SimulationResult:
-    """The ``(R, k)`` sufficient-statistics tier: :class:`CountsProtocol`.
-
-    Faulted scenarios keep honest-only counts as state while the delivery
-    model spans the full ``n`` bins (so the Poissonized rate ``B / n``
-    counts faulty balls and faulty mailboxes alike); only oblivious
-    adversaries reach this tier.
-    """
-    faulted = scenario.faults is not None
-    if faulted:
-        initial_counts, _ = scenario.fault_split()
-        delivery = FaultedCountsDeliveryModel(
-            scenario.num_nodes, noise, _fault_sampler(scenario)
-        )
-    else:
-        initial_counts = scenario.initial_counts_state()
-        delivery = None
-    protocol = CountsProtocol(
-        initial_counts.num_nodes,
-        noise,
-        epsilon=scenario.epsilon,
-        random_state=scenario.seed,
-        round_scale=scenario.round_scale,
-        delivery=delivery,
-    )
-    # Counts-native entry state: same opinion counts as the per-node
-    # construction, but O(k) — n never gets an array axis on this tier.
-    result = protocol.run(
-        initial_counts,
-        scenario.num_trials,
-        target_opinion=scenario.target_opinion(),
-    )
+    """The ``(R, k)`` sufficient-statistics tier: a one-task counts batch."""
+    result = run_heterogeneous_counts_protocol([_protocol_task(scenario)])[0]
     return SimulationResult.from_ensemble_result(
         result, workload=scenario.workload, engine=engine
     )

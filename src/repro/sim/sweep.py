@@ -46,10 +46,7 @@ from typing import (
 
 import numpy as np
 
-from repro.core.protocol import (
-    CountsProtocolTask,
-    run_heterogeneous_counts_protocol,
-)
+from repro.core.protocol import run_heterogeneous_counts_protocol
 from repro.dynamics.base import (
     CountsDynamicsTask,
     run_heterogeneous_counts_dynamics,
@@ -58,6 +55,7 @@ from repro.sim.engines import build_dynamics
 from repro.network.pull_model import vote_law_cache_info
 from repro.sim.facade import (
     _cache_delta,
+    _protocol_task,
     _resolve_engine,
     sim_code_version,
     simulate,
@@ -252,25 +250,7 @@ def _point_identity(scenario: Scenario, code_version: str) -> Dict[str, Any]:
     return {"scenario": scenario.to_dict(), "code_version": code_version}
 
 
-def _protocol_task(scenario: Scenario) -> CountsProtocolTask:
-    """The heterogeneous-batch task mirroring the facade's counts runner.
-
-    Field-for-field the arguments ``_protocol_counts`` hands to
-    :class:`~repro.core.protocol.CountsProtocol` — the batch entry point
-    replicates its ``run`` preamble, so the draws are identical.
-    """
-    return CountsProtocolTask(
-        num_nodes=scenario.num_nodes,
-        noise=scenario.build_noise(),
-        initial_state=scenario.initial_counts_state(),
-        num_trials=scenario.num_trials,
-        epsilon=scenario.epsilon,
-        target_opinion=scenario.target_opinion(),
-        random_state=scenario.seed,
-        round_scale=scenario.round_scale,
-    )
-
-
+# reprolint: counts-tier
 def _dynamics_task(scenario: Scenario) -> CountsDynamicsTask:
     """The heterogeneous-batch task mirroring ``_dynamics_ensemble``."""
     dynamics = build_dynamics(
@@ -389,13 +369,7 @@ def simulate_sweep(
         scenario = scenarios[index]
         engine, _ = _resolve_engine(scenario)
         engines[index] = engine
-        if scenario.faults is not None:
-            # Faulted points run per-point: the merged counts batch knows
-            # nothing about fault samplers, and simulate() already owns the
-            # honest-reduction construction (bitwise equality to the serial
-            # loop is then trivial).
-            serial_points.append(index)
-        elif engine == "counts" and scenario.workload in ("rumor", "plurality"):
+        if engine == "counts" and scenario.workload in ("rumor", "plurality"):
             protocol_groups.setdefault(scenario.num_opinions, []).append(index)
         elif engine == "counts" and scenario.workload == "dynamics":
             dynamics_batch.append(index)

@@ -29,9 +29,9 @@ def noise():
     return uniform_noise_matrix(3, EPSILON)
 
 
-@pytest.fixture
-def delivery(noise):
-    return CountsDeliveryModel(NUM_NODES, noise)
+def one_block(rows, noise, num_nodes=NUM_NODES):
+    """A one-block delivery model with ``rows`` rows (one run's trials)."""
+    return CountsDeliveryModel([rows], [num_nodes], [noise])
 
 
 class TestPoissonTail:
@@ -62,20 +62,20 @@ class TestPoissonTail:
 
 
 class TestCountsDeliveryModel:
-    def test_recolor_preserves_totals(self, delivery, rng):
+    def test_recolor_preserves_totals(self, noise, rng):
         histograms = np.array([[100, 50, 0], [0, 0, 0]], dtype=np.int64)
-        noisy = delivery.recolor(histograms, rng)
+        noisy = one_block(2, noise).recolor(histograms, rng)
         assert noisy.dtype == np.int64
         assert np.array_equal(noisy.sum(axis=1), histograms.sum(axis=1))
 
     def test_identity_recolor_is_exact(self, rng):
-        delivery = CountsDeliveryModel(NUM_NODES, identity_matrix(3))
+        delivery = one_block(1, identity_matrix(3))
         histograms = np.array([[7, 3, 2]], dtype=np.int64)
         assert np.array_equal(delivery.recolor(histograms, rng), histograms)
 
-    def test_adoption_probabilities_sum_to_one(self, delivery):
+    def test_adoption_probabilities_sum_to_one(self, noise):
         noisy = np.array([[400, 100, 0], [0, 0, 0]], dtype=np.int64)
-        probabilities = delivery.adoption_probabilities(noisy)
+        probabilities = one_block(2, noise).adoption_probabilities(noisy)
         assert probabilities.shape == (2, 4)
         assert np.allclose(probabilities.sum(axis=1), 1.0)
         # An empty phase leaves everyone undecided with certainty.
@@ -84,43 +84,78 @@ class TestCountsDeliveryModel:
         assert probabilities[0, 1] / probabilities[0, 2] == pytest.approx(4.0)
 
     def test_sample_adoptions_accounts_for_every_undecided_node(
-        self, delivery, rng
+        self, noise, rng
     ):
         noisy = np.array([[4000, 1000, 500]], dtype=np.int64)
-        adopted = delivery.sample_adoptions(noisy, np.array([300]), rng)
+        adopted = one_block(1, noise).sample_adoptions(
+            noisy, np.array([300]), rng
+        )
         assert adopted.shape == (1, 4)
         assert adopted.sum() == 300
 
     def test_sample_vote_counts_tractable_and_chunked_agree_in_mean(
-        self, delivery
+        self, noise, monkeypatch
     ):
         """The closed-form and chunked vote samplers draw from the same
         law; with a strongly biased histogram both concentrate on the
         plurality color."""
+        from repro.network import pull_model
+
         noisy = np.array([[9000, 500, 500]], dtype=np.int64)
         voters = np.array([4000])
-        tractable = delivery.sample_vote_counts(
-            noisy, voters, 5, np.random.default_rng(0)
+        tractable = one_block(1, noise).sample_vote_counts(
+            noisy, voters, [5], np.random.default_rng(0)
         )
-        delivery_small_chunks = CountsDeliveryModel(NUM_NODES, delivery.noise)
+        # Disable the dense law so L = 201 reaches the chunked sampler.
+        monkeypatch.setattr(pull_model, "_DENSE_VOTE_LAW_MAX_COMPOSITIONS", 0)
+        delivery_small_chunks = one_block(1, noise)
         delivery_small_chunks.VOTE_CHUNK = 256
         chunked = delivery_small_chunks.sample_vote_counts(
-            noisy, voters, 201, np.random.default_rng(1)
+            noisy, voters, [201], np.random.default_rng(1)
         )
         for votes in (tractable, chunked):
             assert votes.sum() == 4000
             assert votes[0, 0] > 3500
         # L = 201 with k = 3 is beyond the composition-table budget, so the
         # second draw exercised the chunked path.
-        from repro.network.pull_model import vote_table_is_tractable
-        assert not vote_table_is_tractable(201, 3)
-        assert vote_table_is_tractable(5, 3)
+        assert pull_model.resolve_vote_path(201, 3) == "chunk"
+        assert pull_model.resolve_vote_path(5, 3) == "table"
+
+    def test_rejects_adaptive_fault_sampler(self, noise):
+        from repro.faults import FaultedPhaseSampler, FaultModel
+
+        sampler = FaultedPhaseSampler(
+            FaultModel(kind="adaptive", fraction=0.1), 80, np.zeros(3), 3
+        )
+        with pytest.raises(ValueError, match="oblivious"):
+            CountsDeliveryModel([1], [NUM_NODES - 80], [noise], [sampler])
+
+    def test_fault_sampler_adds_balls_and_bins(self, noise):
+        from repro.faults import FaultedPhaseSampler, FaultModel
+
+        sampler = FaultedPhaseSampler(
+            FaultModel(kind="crash", fraction=0.1, crash_round=100),
+            80,
+            np.array([80, 0, 0]),
+            3,
+        )
+        delivery = CountsDeliveryModel(
+            [1, 2], [NUM_NODES - 80, NUM_NODES], [noise, noise], [sampler, None]
+        )
+        assert delivery.num_bins.tolist() == [NUM_NODES] * 3
+        assert delivery.num_nodes.tolist() == [NUM_NODES - 80, NUM_NODES, NUM_NODES]
+        counts = np.array([[1, 0, 0], [2, 0, 0], [0, 3, 0]], dtype=np.int64)
+        histograms = delivery.phase_histograms(counts, [4, 5], None)
+        # The crashed nodes still push every round before crash_round.
+        assert histograms.tolist() == [[324, 0, 0], [10, 0, 0], [0, 15, 0]]
 
 
 class TestCountsStageExecutors:
-    def test_stage1_grows_opinionated_set(self, delivery):
+    def test_stage1_grows_opinionated_set(self, noise):
         schedule = Stage1Schedule.for_population(NUM_NODES, EPSILON)
-        executor = CountsStage1Executor(delivery, schedule, random_state=0)
+        executor = CountsStage1Executor(
+            one_block(4, noise), schedule, random_state=0
+        )
         initial = EnsembleCountsState.from_counts_state(
             CountsState.single_source(NUM_NODES, 3, 1), 4
         )
@@ -135,9 +170,11 @@ class TestCountsStageExecutors:
         assert records[0].messages_sent.shape == (4,)
         assert records[0].messages_sent[0] == schedule.phase_lengths[0]
 
-    def test_stage2_amplifies_bias(self, delivery):
+    def test_stage2_amplifies_bias(self, noise):
         schedule = Stage2Schedule.for_population(NUM_NODES, EPSILON)
-        executor = CountsStage2Executor(delivery, schedule, random_state=0)
+        executor = CountsStage2Executor(
+            one_block(6, noise), schedule, random_state=0
+        )
         biased = EnsembleCountsState(
             np.tile([360, 240, 200], (6, 1)), NUM_NODES
         )
@@ -149,7 +186,8 @@ class TestCountsStageExecutors:
         assert np.all(final.counts.sum(axis=1) == NUM_NODES)
         assert records[-1].consensus_after.shape == (6,)
 
-    def test_stage2_rejects_ablation_knobs(self, delivery):
+    def test_stage2_rejects_ablation_knobs(self, noise):
+        delivery = one_block(1, noise)
         schedule = Stage2Schedule.for_population(NUM_NODES, EPSILON)
         with pytest.raises(ValueError, match="with_replacement"):
             CountsStage2Executor(
@@ -242,8 +280,6 @@ class TestCountsProtocol:
     def test_validation(self, noise):
         with pytest.raises(ValueError):
             CountsProtocol(NUM_NODES, noise)  # schedule or epsilon required
-        with pytest.raises(ValueError):
-            CountsProtocol(NUM_NODES, noise, epsilon=EPSILON, rng_mode="bad")
         protocol = CountsProtocol(NUM_NODES, noise, epsilon=EPSILON)
         with pytest.raises(ValueError):
             protocol.run(

@@ -15,17 +15,25 @@ size.  Two complementary checks enforce it:
 * **physical impossibility** — the dynamics run again at ``n = 10^12``,
   where any array with an ``n``-sized axis would need ~8 TB: merely
   completing proves no such allocation happened.
+
+The protocol check also runs under each oblivious adversary (crash,
+omission, liar), whose faulty balls are drawn per phase.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.core.protocol import CountsProtocol
+from repro.core.protocol import CountsProtocol, run_heterogeneous_counts_protocol
 from repro.core.state import CountsState
 from repro.dynamics import make_counts_dynamics
+from repro.faults import FaultModel
 from repro.noise.families import uniform_noise_matrix
+from repro.sim import Scenario
+from repro.sim.facade import _protocol_task
 
 #: Any traced axis at or above this is treated as an ``n``-sized leak.
 #: It must stay comfortably above VOTE_CHUNK (32768) and the O(L) arrays
@@ -33,6 +41,13 @@ from repro.noise.families import uniform_noise_matrix
 MAX_TRACED_AXIS = 100_000
 
 TRACED_ALLOCATORS = ("zeros", "empty", "ones", "full", "arange", "tile")
+
+#: The oblivious adversaries the counts tier serves.
+FAULTED_CASES = (
+    FaultModel(kind="crash", fraction=0.01, crash_round=5),
+    FaultModel(kind="omission", fraction=0.01, drop_rate=0.5),
+    FaultModel(kind="liar", fraction=0.01),
+)
 
 
 class _ShapeLog:
@@ -156,6 +171,31 @@ def test_counts_protocol_allocates_no_n_sized_axis(shape_log):
         f"counts protocol allocated an array with a {shape_log.max_axis()}"
         f"-sized axis at n = {NUM_NODES:,}"
     )
+    # The same run under each oblivious adversary, built by the
+    # _protocol_task that simulate() and simulate_sweep() share: the faulty
+    # balls join every phase and the bins count the faulty nodes too.
+    for seed, faults in enumerate(FAULTED_CASES):
+        shape_log.shapes.clear()
+        scenario = Scenario(
+            workload="rumor", num_nodes=NUM_NODES, num_opinions=3,
+            epsilon=0.3, engine="counts", num_trials=2, faults=faults,
+        )
+        task = dataclasses.replace(
+            _protocol_task(scenario),
+            random_state=[
+                _RecordingGenerator(200 + 2 * seed + trial, shape_log)
+                for trial in range(2)
+            ],
+        )
+        result = run_heterogeneous_counts_protocol([task])[0]
+        assert np.all(
+            result.final_states.counts.sum(axis=1) <= task.num_nodes
+        )
+        assert shape_log.shapes, f"{faults.kind}: no allocations traced"
+        assert shape_log.max_axis() < MAX_TRACED_AXIS, (
+            f"faulted ({faults.kind}) counts protocol allocated an array "
+            f"with a {shape_log.max_axis()}-sized axis at n = {NUM_NODES:,}"
+        )
 
 
 def test_counts_dynamics_run_at_a_trillion_nodes():

@@ -34,10 +34,13 @@ from repro.analytic import (
     total_variation_distance,
     wilson_interval,
 )
-from repro.core.protocol import CountsProtocol, EnsembleProtocol
+from repro.core.protocol import (
+    CountsProtocolTask,
+    EnsembleProtocol,
+    run_heterogeneous_counts_protocol,
+)
 from repro.core.state import PopulationState
 from repro.faults import (
-    FaultedCountsDeliveryModel,
     FaultedDeliveryEngine,
     FaultedPhaseSampler,
     FaultModel,
@@ -168,15 +171,16 @@ class TestFaultedFinalStateTVD:
         honest, faulty_histogram = scenario.fault_split()
         num_faulty = scenario.faulty_count()
 
-        counts_result = CountsProtocol(
-            honest.num_nodes, noise, epsilon=self.EPSILON, random_state=7,
-            delivery=FaultedCountsDeliveryModel(
-                self.NUM_NODES, noise,
-                FaultedPhaseSampler(
+        counts_result = run_heterogeneous_counts_protocol([
+            CountsProtocolTask(
+                num_nodes=honest.num_nodes, noise=noise, initial_state=honest,
+                num_trials=self.COUNTS_TRIALS, epsilon=self.EPSILON,
+                target_opinion=1, random_state=7,
+                sampler=FaultedPhaseSampler(
                     faults, num_faulty, faulty_histogram, self.NUM_OPINIONS
                 ),
-            ),
-        ).run(honest, self.COUNTS_TRIALS, target_opinion=1)
+            )
+        ])[0]
 
         initial = PopulationState.from_counts(
             honest.num_nodes,

@@ -84,12 +84,9 @@ class TestTractability:
 
 class TestVotePathResolution:
     def test_paths_partition_the_sample_size_axis(self):
-        from repro.network.balls_bins import CountsDeliveryModel
-        from repro.noise.families import uniform_noise_matrix
+        from repro.network.pull_model import resolve_vote_path
 
-        model = CountsDeliveryModel(1000, uniform_noise_matrix(3, 0.3))
-        assert model.resolve_vote_path(20) == "table"
-        assert model.resolve_vote_path(200) == "dense"
+        assert resolve_vote_path(20, 3) == "table"
+        assert resolve_vote_path(200, 3) == "dense"
         # Past both budgets only the bounded chunk sampler remains.
-        big = CountsDeliveryModel(1000, uniform_noise_matrix(6, 0.3))
-        assert big.resolve_vote_path(5000) == "chunk"
+        assert resolve_vote_path(5000, 6) == "chunk"

@@ -1,8 +1,8 @@
 """Seed-reproducibility regressions for the bounded ``VOTE_CHUNK`` sampler.
 
 ``CountsDeliveryModel.sample_vote_counts`` falls back to chunked
-per-voter composition sampling whenever the closed-form ``maj()`` table
-is intractable (``sample_size > 170``).  The main closed-form path is
+per-voter composition sampling whenever neither the closed-form nor the
+dense ``maj()`` table is tractable.  The main closed-form path is
 pinned elsewhere; these tests pin the *fallback*: bitwise-identical
 results under a fixed seed for voter counts on every side of a chunk
 boundary, per-trial stream isolation, and golden draws that freeze the
@@ -28,6 +28,7 @@ from repro.network.pull_model import (
     vote_table_is_tractable,
 )
 from repro.noise.families import uniform_noise_matrix
+from repro.utils.rng import normalize_ensemble_random_state
 
 # Past the exact maj() composition-table budget -> the chunked fallback.
 FALLBACK_SAMPLE_SIZE = 200
@@ -35,12 +36,27 @@ SMALL_CHUNK = 8
 
 
 @pytest.fixture
-def model(monkeypatch):
+def sample_votes(monkeypatch):
+    """``sample_votes(histograms, voters, randomness)``: one fallback vote
+    draw on a one-block model with a row per histogram.  ``randomness`` is a
+    shared generator or a list of per-row seeds."""
     monkeypatch.setattr(CountsDeliveryModel, "VOTE_CHUNK", SMALL_CHUNK)
     # Force resolve_vote_path past "dense" so the chunk loop stays the
     # sampler under test.
     monkeypatch.setattr(pull_model, "_DENSE_VOTE_LAW_MAX_COMPOSITIONS", 0)
-    return CountsDeliveryModel(50, uniform_noise_matrix(3, 0.3))
+
+    def sample(histograms, voters, randomness):
+        model = CountsDeliveryModel(
+            [len(histograms)], [50], [uniform_noise_matrix(3, 0.3)]
+        )
+        return model.sample_vote_counts(
+            np.asarray(histograms, dtype=np.int64),
+            voters,
+            [FALLBACK_SAMPLE_SIZE],
+            normalize_ensemble_random_state(randomness),
+        )
+
+    return sample
 
 
 def test_operating_point_actually_uses_the_fallback():
@@ -54,16 +70,12 @@ def test_operating_point_actually_uses_the_fallback():
     [SMALL_CHUNK - 1, SMALL_CHUNK, SMALL_CHUNK + 1, 2 * SMALL_CHUNK, 2 * SMALL_CHUNK + 1],
 )
 def test_shared_generator_is_bitwise_reproducible_at_chunk_boundaries(
-    model, num_voters
+    sample_votes, num_voters
 ):
     histograms = np.array([[40, 30, 20]])
     voters = np.array([num_voters])
-    first = model.sample_vote_counts(
-        histograms, voters, FALLBACK_SAMPLE_SIZE, np.random.default_rng(7)
-    )
-    second = model.sample_vote_counts(
-        histograms, voters, FALLBACK_SAMPLE_SIZE, np.random.default_rng(7)
-    )
+    first = sample_votes(histograms, voters, np.random.default_rng(7))
+    second = sample_votes(histograms, voters, np.random.default_rng(7))
     assert np.array_equal(first, second)
     assert first.sum() == num_voters
 
@@ -72,47 +84,35 @@ def test_shared_generator_is_bitwise_reproducible_at_chunk_boundaries(
     "num_voters", [SMALL_CHUNK - 1, SMALL_CHUNK, SMALL_CHUNK + 1]
 )
 def test_per_trial_seeds_are_bitwise_reproducible_at_chunk_boundaries(
-    model, num_voters
+    sample_votes, num_voters
 ):
     histograms = np.array([[40, 30, 20], [25, 25, 10]])
     voters = np.array([num_voters, 2 * SMALL_CHUNK + 1])
-    first = model.sample_vote_counts(
-        histograms, voters, FALLBACK_SAMPLE_SIZE, [3, 5]
-    )
-    second = model.sample_vote_counts(
-        histograms, voters, FALLBACK_SAMPLE_SIZE, [3, 5]
-    )
+    first = sample_votes(histograms, voters, [3, 5])
+    second = sample_votes(histograms, voters, [3, 5])
     assert np.array_equal(first, second)
     assert np.array_equal(first.sum(axis=1), voters)
 
 
-def test_per_trial_streams_are_isolated_across_trials(model):
+def test_per_trial_streams_are_isolated_across_trials(sample_votes):
     """Trial 0's votes must not depend on how much trial 1 samples."""
     histograms = np.array([[40, 30, 20], [25, 25, 10]])
-    few = model.sample_vote_counts(
-        histograms,
-        np.array([2 * SMALL_CHUNK + 1, 3]),
-        FALLBACK_SAMPLE_SIZE,
-        [17, 19],
+    few = sample_votes(
+        histograms, np.array([2 * SMALL_CHUNK + 1, 3]), [17, 19]
     )
-    many = model.sample_vote_counts(
-        histograms,
-        np.array([2 * SMALL_CHUNK + 1, 3 * SMALL_CHUNK]),
-        FALLBACK_SAMPLE_SIZE,
-        [17, 19],
+    many = sample_votes(
+        histograms, np.array([2 * SMALL_CHUNK + 1, 3 * SMALL_CHUNK]), [17, 19]
     )
     assert np.array_equal(few[0], many[0])
 
 
-def test_zero_voters_consume_no_randomness(model):
+def test_zero_voters_consume_no_randomness(sample_votes):
     """A zero-voter trial leaves its per-trial stream untouched."""
     histograms = np.array([[40, 30, 20], [25, 25, 10]])
-    with_empty = model.sample_vote_counts(
-        histograms, np.array([0, SMALL_CHUNK + 1]), FALLBACK_SAMPLE_SIZE, [23, 29]
+    with_empty = sample_votes(
+        histograms, np.array([0, SMALL_CHUNK + 1]), [23, 29]
     )
-    alone = model.sample_vote_counts(
-        histograms[1:], np.array([SMALL_CHUNK + 1]), FALLBACK_SAMPLE_SIZE, [29]
-    )
+    alone = sample_votes(histograms[1:], np.array([SMALL_CHUNK + 1]), [29])
     assert np.array_equal(with_empty[0], np.zeros(3, dtype=np.int64))
     assert np.array_equal(with_empty[1], alone[0])
 
@@ -128,17 +128,12 @@ class TestGoldenDraws:
     HISTOGRAMS = np.array([[40, 30, 20], [25, 25, 10]])
     VOTERS = np.array([20, 9])  # chunks of 8, 8, 4 and 8, 1
 
-    def test_shared_generator_golden(self, model):
-        votes = model.sample_vote_counts(
-            self.HISTOGRAMS,
-            self.VOTERS,
-            FALLBACK_SAMPLE_SIZE,
-            np.random.default_rng(123),
+    def test_shared_generator_golden(self, sample_votes):
+        votes = sample_votes(
+            self.HISTOGRAMS, self.VOTERS, np.random.default_rng(123)
         )
         assert votes.tolist() == [[18, 2, 0], [5, 4, 0]]
 
-    def test_per_trial_seeds_golden(self, model):
-        votes = model.sample_vote_counts(
-            self.HISTOGRAMS, self.VOTERS, FALLBACK_SAMPLE_SIZE, [7, 11]
-        )
+    def test_per_trial_seeds_golden(self, sample_votes):
+        votes = sample_votes(self.HISTOGRAMS, self.VOTERS, [7, 11])
         assert votes.tolist() == [[19, 1, 0], [4, 5, 0]]

@@ -370,7 +370,8 @@ class TestFallbackTiers:
 
 
 class TestFaultedSweep:
-    """Faulted points route to the serial path and stay bitwise exact."""
+    """Oblivious-faulted counts points fuse into the batch and stay
+    bitwise exact; adaptive ones degrade to a serial batched run."""
 
     def test_faults_axis_counts_engine(self):
         from repro.faults import FaultModel
@@ -387,8 +388,11 @@ class TestFaultedSweep:
             },
         )
         sweep = assert_sweep_matches_serial(grid)
-        # The fault-free point still fuses on counts; faulted ones serial.
         assert sweep.engines == ["counts"] * 4
+        # Every point, faulted or not, came out of the fused batch: only
+        # fused batches stamp the draw order.
+        for result in sweep:
+            assert result.provenance["rng_draw_order"] == "per-trial"
 
     def test_fraction_axis_batched_engine(self):
         from repro.faults import FaultModel
