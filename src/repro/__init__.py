@@ -65,7 +65,6 @@ from repro.core.protocol import (
     EnsembleResult,
     ProtocolResult,
     TwoStageProtocol,
-    make_engine,
 )
 from repro.core.rumor import RumorSpreading, RumorSpreadingInstance
 from repro.core.schedule import ProtocolSchedule, Stage1Schedule, Stage2Schedule
@@ -81,9 +80,6 @@ from repro.dynamics import (
     EnsembleCountsDynamics,
     EnsembleDynamicsResult,
     EnsembleOpinionDynamics,
-    make_counts_dynamics,
-    make_dynamics,
-    make_ensemble_dynamics,
 )
 from repro.network.balls_bins import BallsIntoBinsProcess, CountsDeliveryModel
 from repro.network.mailbox import EnsembleReceivedMessages, ReceivedMessages
@@ -117,7 +113,13 @@ from repro.noise.majority_preserving import (
     sufficient_condition_epsilon,
 )
 from repro.noise.matrix import NoiseMatrix
-from repro.sim import Scenario, SimulationResult, simulate
+from repro.sim import (
+    Scenario,
+    SimulationResult,
+    build_dynamics,
+    make_delivery_engine,
+    simulate,
+)
 
 # The version is sourced from the installed package metadata; a source
 # checkout on PYTHONPATH (not pip-installed) falls back to the pyproject
@@ -167,6 +169,7 @@ __all__ = [
     "UniformPushModel",
     "__version__",
     "binary_flip_matrix",
+    "build_dynamics",
     "calibrate_epsilon",
     "check_majority_preserving",
     "collect_channel_observations",
@@ -176,10 +179,7 @@ __all__ = [
     "estimate_noise_matrix",
     "estimation_error",
     "identity_matrix",
-    "make_counts_dynamics",
-    "make_dynamics",
-    "make_engine",
-    "make_ensemble_dynamics",
+    "make_delivery_engine",
     "memory_bound_bits",
     "near_uniform_matrix",
     "protocol_memory_usage",

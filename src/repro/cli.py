@@ -78,9 +78,16 @@ from repro.experiments.orchestrator import (
     job_seed,
     run_all,
 )
-from repro.experiments.runner import TRIAL_ENGINE_CHOICES
 from repro.experiments.spec import all_specs, get_spec, registered_ids
-from repro.sim import WORKLOADS, Scenario, ScenarioGrid, simulate, simulate_sweep
+from repro.sim import (
+    ENGINE_POLICIES,
+    WORKLOADS,
+    Scenario,
+    ScenarioGrid,
+    simulate,
+    simulate_sweep,
+)
+from repro.sim.engines import DEFAULT_COUNTS_THRESHOLD
 
 __all__ = ["main", "build_parser"]
 
@@ -355,7 +362,7 @@ def _add_engine_arguments(
     the experiment configs' own engine choice).
     """
     parser.add_argument(
-        "--engine", choices=TRIAL_ENGINE_CHOICES, default=default,
+        "--engine", choices=ENGINE_POLICIES, default=default,
         help="trial engine: batched (R,n) vectorized ensemble, counts "
              "(R,k) sufficient statistics, sequential reference loop, "
              "analytic (exact Markov chain / mean-field, no sampling; "
@@ -367,7 +374,7 @@ def _add_engine_arguments(
     parser.add_argument(
         "--counts-threshold", type=int, default=None, metavar="N",
         help="population size at which --engine auto switches to the "
-             "counts engine (default: runner.DEFAULT_COUNTS_THRESHOLD)",
+             f"counts engine (default {DEFAULT_COUNTS_THRESHOLD})",
     )
 
 

@@ -260,6 +260,7 @@ class EnsembleApproximateConsensusDynamics(EnsembleOpinionDynamics):
             )
 
 
+# reprolint: counts-tier
 class EnsembleCountsApproximateConsensusDynamics(EnsembleCountsDynamics):
     """Approximate consensus on ``(R, k)`` sufficient statistics.
 

@@ -377,14 +377,6 @@ class EnsembleOpinionDynamics(ABC):
         shared generator.
         """
 
-    def reset_randomness(self, random_state: EnsembleRandomState) -> None:
-        """Replace the default randomness source of subsequent runs.
-
-        Used by the sweep fast path to reuse one engine instance across
-        grid cells while keeping each cell's seed explicit.
-        """
-        self._random_state = random_state
-
     def _trial_randomness(self, num_trials: int) -> EnsembleRandomState:
         return resolve_trial_randomness(
             self._random_state, num_trials, self.rng_mode
@@ -649,14 +641,6 @@ class EnsembleCountsDynamics(ABC):
         trial's generator when ``random_state`` is a per-trial sequence.
         """
 
-    def reset_randomness(self, random_state: EnsembleRandomState) -> None:
-        """Replace the default randomness source of subsequent runs.
-
-        Used by the sweep fast path to reuse one engine instance across
-        grid cells while keeping each cell's seed explicit.
-        """
-        self._random_state = random_state
-
     def _trial_randomness(self, num_trials: int) -> EnsembleRandomState:
         return resolve_trial_randomness(
             self._random_state, num_trials, self.rng_mode
@@ -881,6 +865,7 @@ def _merge_kind(dynamics: EnsembleCountsDynamics) -> Optional[str]:
     return None
 
 
+# reprolint: counts-tier
 def _run_merged_counts_group(
     kind: str,
     tasks: List[CountsDynamicsTask],

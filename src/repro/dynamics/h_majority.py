@@ -124,6 +124,7 @@ class EnsembleThreeMajorityDynamics(EnsembleHMajorityDynamics):
         self.name = "3-majority"
 
 
+# reprolint: counts-tier
 class EnsembleCountsHMajorityDynamics(EnsembleCountsDynamics):
     """The h-majority dynamics on sufficient statistics (counts engine).
 
@@ -167,6 +168,7 @@ class EnsembleCountsHMajorityDynamics(EnsembleCountsDynamics):
         state.counts[:] = adopters + keepers
 
 
+# reprolint: counts-tier
 class EnsembleCountsThreeMajorityDynamics(EnsembleCountsHMajorityDynamics):
     """The 3-majority dynamics on sufficient statistics (``h = 3``)."""
 

@@ -111,6 +111,7 @@ def _median_transition_tensor(num_opinions: int) -> np.ndarray:
     return tensor
 
 
+# reprolint: counts-tier
 class EnsembleCountsMedianRuleDynamics(EnsembleCountsDynamics):
     """The median rule on sufficient statistics (counts engine).
 

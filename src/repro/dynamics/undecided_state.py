@@ -72,6 +72,7 @@ class EnsembleUndecidedStateDynamics(EnsembleOpinionDynamics):
         state.opinions[:] = _undecided_state_update(state.opinions, observed)
 
 
+# reprolint: counts-tier
 class EnsembleCountsUndecidedStateDynamics(EnsembleCountsDynamics):
     """The undecided-state dynamics on sufficient statistics (counts engine).
 

@@ -53,6 +53,7 @@ class EnsembleVoterDynamics(EnsembleOpinionDynamics):
         state.opinions[updaters] = observed[updaters]
 
 
+# reprolint: counts-tier
 class EnsembleCountsVoterDynamics(EnsembleCountsDynamics):
     """The voter model on ``(R, k)`` sufficient statistics (counts engine).
 

@@ -38,6 +38,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.experiments.results import ExperimentTable
+from repro.experiments.runner import scenario_counts_threshold
 from repro.experiments.spec import register_experiment
 from repro.faults import FaultModel
 from repro.sim import Scenario, ScenarioGrid, simulate_sweep
@@ -117,6 +118,7 @@ def _workload_grid(
         epsilon=config.epsilon,
         bias=config.plurality_bias if workload == "plurality" else 0.0,
         engine=config.trial_engine,
+        counts_threshold=scenario_counts_threshold(config.trial_engine),
         num_trials=config.num_trials,
         seed=seed,
     )

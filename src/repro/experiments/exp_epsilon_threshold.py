@@ -24,6 +24,7 @@ import numpy as np
 from repro.analysis.convergence import estimate_success_probability
 from repro.analysis.theory import theoretical_bias_after_stage1
 from repro.experiments.results import ExperimentTable
+from repro.experiments.runner import scenario_counts_threshold
 from repro.experiments.spec import register_experiment
 from repro.sim import Scenario, ScenarioGrid, simulate_sweep
 from repro.utils.rng import RandomState, derive_seed
@@ -108,6 +109,7 @@ def run(
             num_opinions=config.num_opinions,
             epsilon=epsilons[0],
             engine=config.trial_engine,
+            counts_threshold=scenario_counts_threshold(config.trial_engine),
             num_trials=config.num_trials,
             seed=derive_seed(random_state, 0),
             correct_opinion=1,

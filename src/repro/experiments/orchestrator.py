@@ -46,8 +46,9 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.experiments import runner as runner_module
 from repro.experiments import spec as spec_module
-from repro.experiments.results import ExperimentTable, jsonify_value
+from repro.experiments.results import ExperimentTable
 from repro.experiments.spec import ExperimentSpec, get_spec, registered_ids
+from repro.sim.result import jsonify_value
 from repro.utils.rng import derive_seed
 
 __all__ = [

@@ -18,34 +18,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
-import numpy as np
-
+from repro.sim.result import jsonify_value
 from repro.utils.tables import format_records
 
-__all__ = ["ExperimentTable", "jsonify_value"]
-
-
-def jsonify_value(value: Any) -> Any:
-    """Reduce ``value`` to plain JSON-serializable Python.
-
-    Experiment records routinely carry numpy scalars (means, counts,
-    boolean verdicts) and the occasional array or tuple; persisting them
-    requires the plain-Python equivalents, and normalizing *before* writing
-    keeps the ``to_json``/``from_json`` round trip exact.
-    """
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return [jsonify_value(entry) for entry in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [jsonify_value(entry) for entry in value]
-    if isinstance(value, Mapping):
-        return {str(key): jsonify_value(entry) for key, entry in value.items()}
-    return value
+__all__ = ["ExperimentTable"]
 
 
 @dataclass

@@ -22,8 +22,10 @@ Repeated trials have three interchangeable execution engines:
   trials to millions of nodes.
 
 ``"auto"`` picks between ``"batched"`` and ``"counts"`` by population size
-(:func:`resolve_trial_engine`): above :data:`DEFAULT_COUNTS_THRESHOLD`
-nodes (or an explicit ``counts_threshold``) the counts engine wins.
+through :func:`repro.sim.engines.resolve_engine_policy`: from
+``counts_threshold`` nodes on (default: the process override of
+:func:`set_default_counts_threshold`, else
+:data:`~repro.sim.engines.DEFAULT_COUNTS_THRESHOLD`) the counts engine wins.
 
 :func:`protocol_trial_outcomes` and :func:`dynamics_trial_outcomes` hide the
 choice behind one call returning a flat list of per-trial outcomes.
@@ -32,7 +34,6 @@ choice behind one call returning a flat list of per-trial outcomes.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -57,7 +58,11 @@ from repro.core.state import CountsState, EnsembleCountsState, EnsembleState, Po
 from repro.network.balls_bins import CountsDeliveryModel
 from repro.network.push_model import UniformPushModel
 from repro.noise.matrix import NoiseMatrix
-from repro.sim.engines import build_dynamics
+from repro.sim.engines import (
+    DEFAULT_COUNTS_THRESHOLD,
+    build_dynamics,
+    resolve_engine_policy,
+)
 from repro.utils.rng import (
     EnsembleRandomState,
     RandomState,
@@ -79,9 +84,7 @@ __all__ = [
     "Stage2TrajectoryResult",
     "stage2_trial_trajectories",
     "TRIAL_ENGINES",
-    "TRIAL_ENGINE_CHOICES",
-    "DEFAULT_COUNTS_THRESHOLD",
-    "resolve_trial_engine",
+    "scenario_counts_threshold",
     "set_default_counts_threshold",
 ]
 
@@ -90,86 +93,38 @@ T = TypeVar("T")
 #: Concrete execution engines accepted by the trial-outcome helpers.
 TRIAL_ENGINES = ("batched", "sequential", "counts")
 
-#: Everything a caller may pass as ``trial_engine``: the per-trial engines,
-#: ``"analytic"`` (the distribution-level tier — valid for routing, but
-#: rejected by the per-trial helpers, which have no trials to report), and
-#: ``"auto"`` (resolves to a concrete engine by population size).
-TRIAL_ENGINE_CHOICES = TRIAL_ENGINES + ("analytic", "auto")
-
-#: Population size at which ``trial_engine="auto"`` switches from the
-#: batched ``(R, n)`` engine to the counts engine.  At ``n = 10^5`` the
-#: counts engine is already >= 20x faster (see
-#: ``benchmarks/bench_counts_engine.py``); below ~10^4 either engine
-#: finishes in milliseconds and the batched one stays the default because
-#: it also supports the ablation knobs.
-DEFAULT_COUNTS_THRESHOLD = 50_000
-
-_active_counts_threshold = DEFAULT_COUNTS_THRESHOLD
+#: The process-wide ``"auto"`` threshold of the per-trial helpers, set by
+#: :func:`set_default_counts_threshold` (``None``: no override).  It goes
+#: with this module once every experiment runs on :mod:`repro.sim`, whose
+#: scenarios carry their threshold themselves.
+_active_counts_threshold: Optional[int] = None
 
 
 def set_default_counts_threshold(counts_threshold: Optional[int]) -> int:
     """Override the process-wide ``"auto"`` switch-over population size.
 
-    ``None`` restores :data:`DEFAULT_COUNTS_THRESHOLD`.  Returns the now
-    active value.  Used by the CLI's ``--counts-threshold`` so experiment
-    configs (which carry only a ``trial_engine`` name) pick it up too.
+    ``None`` restores :data:`~repro.sim.engines.DEFAULT_COUNTS_THRESHOLD`.
+    Returns the now active value.  Used by the orchestrator and the CLI's
+    ``run-experiment --counts-threshold`` so experiment configs (which
+    carry only a ``trial_engine`` name) pick it up too.
     """
     global _active_counts_threshold
-    if counts_threshold is None:
-        _active_counts_threshold = DEFAULT_COUNTS_THRESHOLD
-    else:
-        if counts_threshold < 1:
-            raise ValueError(
-                f"counts_threshold must be >= 1, got {counts_threshold}"
-            )
-        _active_counts_threshold = int(counts_threshold)
-    return _active_counts_threshold
-
-
-def resolve_trial_engine(
-    trial_engine: str,
-    num_nodes: int,
-    counts_threshold: Optional[int] = None,
-    *,
-    allow_analytic: bool = False,
-) -> str:
-    """The concrete engine for ``trial_engine`` at population size ``n``.
-
-    Concrete engine names pass through unchanged (after validation);
-    ``"auto"`` resolves to ``"counts"`` when ``num_nodes`` is at least
-    ``counts_threshold`` (default: the active threshold, normally
-    :data:`DEFAULT_COUNTS_THRESHOLD`) and to ``"batched"`` otherwise.
-
-    The boundary is inclusive on the counts side: at *exactly*
-    ``num_nodes == counts_threshold`` the counts engine wins (``>=``, not
-    ``>``).  The threshold is the smallest population the n-independent
-    engine should serve, so the ``repro.sim`` facade, the CLI and the
-    experiment configs all see ``auto(n=threshold) == "counts"`` — pinned
-    by the test-suite so the semantics cannot drift silently.
-
-    ``allow_analytic=True`` short-circuits ``"auto"`` to ``"analytic"``:
-    the caller asserts the scenario is *exactly tractable* (the count
-    simplex fits the analytic state budget, plus any closed-form vote
-    tables the workload needs), in which case the exact answer beats any
-    amount of sampling.  Only the ``repro.sim`` facade sets it — the
-    per-trial helpers in this module cannot consume the analytic tier.
-    """
-    if trial_engine not in TRIAL_ENGINE_CHOICES:
-        raise ValueError(
-            f"trial_engine must be one of {TRIAL_ENGINE_CHOICES}, "
-            f"got {trial_engine!r}"
-        )
-    if trial_engine != "auto":
-        return trial_engine
-    if allow_analytic:
-        return "analytic"
-    if counts_threshold is None:
-        counts_threshold = _active_counts_threshold
-    elif counts_threshold < 1:
+    if counts_threshold is not None and counts_threshold < 1:
         raise ValueError(
             f"counts_threshold must be >= 1, got {counts_threshold}"
         )
-    return "counts" if num_nodes >= counts_threshold else "batched"
+    if counts_threshold is None:
+        _active_counts_threshold = None
+        return DEFAULT_COUNTS_THRESHOLD
+    _active_counts_threshold = int(counts_threshold)
+    return _active_counts_threshold
+
+
+def scenario_counts_threshold(engine: str) -> Optional[int]:
+    """The ``counts_threshold`` of an experiment's
+    ``Scenario(engine=engine)``: the threshold installed by
+    :func:`set_default_counts_threshold` for ``"auto"``, else ``None``."""
+    return _active_counts_threshold if engine == "auto" else None
 
 
 def _resolve_engine_for_state(
@@ -195,8 +150,14 @@ def _resolve_engine_for_state(
     )
     if counts_native and trial_engine == "auto":
         return "counts"
-    resolved = resolve_trial_engine(
-        trial_engine, initial_state.num_nodes, counts_threshold
+    resolved = resolve_engine_policy(
+        trial_engine,
+        initial_state.num_nodes,
+        (
+            _active_counts_threshold
+            if counts_threshold is None
+            else counts_threshold
+        ),
     )
     if counts_native and resolved != "counts":
         raise ValueError(
@@ -276,7 +237,7 @@ def protocol_trial_outcomes(
     two-stage protocol; the routing between the batched ensemble engine,
     the counts (sufficient-statistics) engine and the sequential reference
     loop is controlled by ``trial_engine`` (one of
-    :data:`TRIAL_ENGINE_CHOICES`; ``"auto"`` switches to ``"counts"`` at
+    :data:`TRIAL_ENGINES` or ``"auto"``, which switches to ``"counts"`` at
     ``counts_threshold`` nodes).  All engines derive per-trial randomness
     from ``random_state``, so a fixed seed gives a reproducible batch
     either way (though not the same draws across engines).  The counts
@@ -398,13 +359,12 @@ def dynamics_trial_outcomes(
     stop_at_consensus: bool = True,
     trial_engine: str = "batched",
     counts_threshold: Optional[int] = None,
-    engine_cache: Optional[Dict[Any, Any]] = None,
 ) -> List[DynamicsTrialOutcome]:
     """Run ``num_trials`` independent baseline-dynamics trials.
 
     The dynamics counterpart of :func:`protocol_trial_outcomes`: ``rule``
     names one of :data:`~repro.dynamics.DYNAMICS_RULES` and ``trial_engine``
-    (one of :data:`TRIAL_ENGINE_CHOICES`) routes the batch through the
+    (one of :data:`TRIAL_ENGINES` or ``"auto"``) routes the batch through the
     vectorized :class:`~repro.dynamics.base.EnsembleOpinionDynamics` engine
     (default), the ``O(k)``-per-trial counts engine, or the sequential
     reference loop of :meth:`~repro.dynamics.base.OpinionDynamics.run`
@@ -419,25 +379,7 @@ def dynamics_trial_outcomes(
     accepts the counts-native :class:`CountsState` /
     :class:`EnsembleCountsState` (which the per-node engines cannot
     consume).
-
-    ``engine_cache`` is deprecated: it was the sweep fast path (one engine
-    instance per distinct ``(engine, rule, num_nodes, sample_size, noise)``
-    combination, reused across the cells of a parameter sweep), superseded
-    by the batched sweep layer — build a
-    :class:`~repro.sim.ScenarioGrid` and call
-    :func:`~repro.sim.simulate_sweep`, which fuses the counts-tier cells
-    into one heterogeneous batch instead of merely reusing engine objects.
-    Passing a cache still works (same behavior, same results) but emits a
-    :class:`DeprecationWarning`.
     """
-    if engine_cache is not None:
-        warnings.warn(
-            "dynamics_trial_outcomes(engine_cache=...) is deprecated; "
-            "sweep over a repro.sim.ScenarioGrid with simulate_sweep() "
-            "instead, which batches the grid's counts-tier cells",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     if isinstance(
         initial_state, (EnsembleState, EnsembleCountsState)
     ) and num_trials != initial_state.num_trials:
@@ -458,25 +400,10 @@ def dynamics_trial_outcomes(
     target_opinion = int(target_opinion)
 
     if trial_engine in ("batched", "counts"):
-        # Content-based noise fingerprint: id() could be recycled across
-        # short-lived matrices and hand back an engine with the wrong
-        # channel.
-        cache_key = (
-            trial_engine, rule, num_nodes, sample_size,
-            noise.matrix.tobytes(),
+        dynamic = build_dynamics(
+            trial_engine, rule, num_nodes, noise, random_state,
+            sample_size=sample_size,
         )
-        dynamic = None
-        if engine_cache is not None:
-            dynamic = engine_cache.get(cache_key)
-        if dynamic is None:
-            dynamic = build_dynamics(
-                trial_engine, rule, num_nodes, noise, random_state,
-                sample_size=sample_size,
-            )
-            if engine_cache is not None:
-                engine_cache[cache_key] = dynamic
-        else:
-            dynamic.reset_randomness(random_state)
         result = dynamic.run(
             initial_state,
             max_rounds,

@@ -9,10 +9,12 @@ per-trial verdicts, the measurements and the provenance — across every
 workload and every tier.
 
 The :data:`~repro.sim.engines.ENGINE_REGISTRY` keyed by
-``(workload, engine)`` is the single dispatch table; it absorbed the legacy
-per-tier factories (``make_dynamics`` / ``make_ensemble_dynamics`` /
-``make_counts_dynamics`` and ``core.protocol.make_engine``), which remain
-as deprecation shims.  Under a fixed seed, ``simulate()`` is bitwise
+``(workload, engine)`` is the single dispatch table, and
+:func:`~repro.sim.engines.resolve_engine_policy` the single place an engine
+policy becomes a tier: ``auto`` reads the scenario's own
+``counts_threshold`` and no process-global state, so a result is a function
+of the scenario and its seed.  The package imports nothing from
+:mod:`repro.experiments`.  Under a fixed seed, ``simulate()`` is bitwise
 identical to the legacy entry point it supersedes, tier by tier.
 
 >>> from repro.sim import Scenario, simulate
@@ -26,6 +28,7 @@ True
 
 from repro.sim.engines import (
     DELIVERY_PROCESSES,
+    ENGINE_POLICIES,
     ENGINE_REGISTRY,
     ENGINE_TIERS,
     EngineRegistry,
@@ -36,7 +39,6 @@ from repro.sim.facade import sim_code_version, simulate
 from repro.sim.result import SimulationResult
 from repro.sim.sweep import ScenarioGrid, SweepResult, simulate_sweep
 from repro.sim.scenario import (
-    ENGINE_POLICIES,
     TOPOLOGIES,
     WORKLOADS,
     Scenario,

@@ -1,13 +1,16 @@
-"""The unified engine registry behind :func:`repro.sim.simulate`.
+"""The engine vocabulary, the ``auto`` policy and the unified engine registry
+behind :func:`repro.sim.simulate`.
 
-Two layers live here:
+Three layers live here:
 
+* :data:`ENGINE_POLICIES` / :data:`ENGINE_TIERS` and
+  :func:`resolve_engine_policy` — the one place an engine policy becomes a
+  concrete tier.  ``auto`` depends on the population size and an explicit
+  ``counts_threshold`` (default :data:`DEFAULT_COUNTS_THRESHOLD`) only; no
+  process-global state takes part, so a result is a function of the
+  scenario and its seed.
 * :func:`build_dynamics` — the single factory for every baseline-dynamics
-  engine, keyed ``(tier, rule)``.  It absorbs the three legacy registries
-  (``make_dynamics`` / ``make_ensemble_dynamics`` / ``make_counts_dynamics``,
-  now deprecation shims over this function) into one table, constructing
-  exactly the same classes with exactly the same arguments, so seeded runs
-  built through either path are bitwise identical.
+  engine, keyed ``(tier, rule)``.
 * :class:`EngineRegistry` — the ``(workload, engine)`` dispatch table the
   facade consults: every supported pair maps to one runner function
   producing a :class:`~repro.sim.result.SimulationResult`.  The concrete
@@ -16,8 +19,7 @@ Two layers live here:
   call site.
 
 The complete-graph delivery engines are built by
-:func:`repro.network.delivery.make_delivery_engine` (re-exported here),
-which absorbed the legacy :func:`repro.core.protocol.make_engine`.
+:func:`repro.network.delivery.make_delivery_engine` (re-exported here).
 """
 
 from __future__ import annotations
@@ -63,6 +65,8 @@ from repro.noise.matrix import NoiseMatrix
 from repro.utils.rng import EnsembleRandomState
 
 __all__ = [
+    "DEFAULT_COUNTS_THRESHOLD",
+    "ENGINE_POLICIES",
     "ENGINE_TIERS",
     "DYNAMICS_RULES",
     "DELIVERY_PROCESSES",
@@ -70,12 +74,68 @@ __all__ = [
     "ENGINE_REGISTRY",
     "build_dynamics",
     "make_delivery_engine",
+    "resolve_engine_policy",
 ]
 
 #: The concrete execution tiers every workload can be served on.  The
 #: first three sample trajectories; ``analytic`` evolves the exact state
 #: distribution (or its mean-field limit) and draws no randomness at all.
 ENGINE_TIERS = ("sequential", "batched", "counts", "analytic")
+
+#: Engine policies a scenario can request: the concrete tiers plus
+#: ``"auto"``, which :func:`resolve_engine_policy` turns into a tier.
+ENGINE_POLICIES = ("sequential", "batched", "counts", "auto", "analytic")
+
+#: Population size at which ``"auto"`` switches from the batched ``(R, n)``
+#: engine to the counts engine.  At ``n = 10^5`` the counts engine is
+#: already >= 20x faster (see ``benchmarks/bench_counts_engine.py``); below
+#: ~10^4 either engine finishes in milliseconds and the batched one stays
+#: the default because it also supports the ablation knobs.
+DEFAULT_COUNTS_THRESHOLD = 50_000
+
+
+def resolve_engine_policy(
+    policy: str,
+    num_nodes: int,
+    counts_threshold: Optional[int] = None,
+    *,
+    allow_analytic: bool = False,
+) -> str:
+    """The concrete tier for engine ``policy`` at population size ``n``.
+
+    Concrete tier names pass through unchanged (after validation);
+    ``"auto"`` resolves to ``"counts"`` when ``num_nodes`` is at least
+    ``counts_threshold`` (``None`` means :data:`DEFAULT_COUNTS_THRESHOLD`)
+    and to ``"batched"`` otherwise.
+
+    The boundary is inclusive on the counts side: at *exactly*
+    ``num_nodes == counts_threshold`` the counts engine wins (``>=``, not
+    ``>``).  The threshold is the smallest population the n-independent
+    engine should serve, so the facade, the CLI and the experiment configs
+    all see ``auto(n=threshold) == "counts"``.
+
+    ``allow_analytic=True`` short-circuits ``"auto"`` to ``"analytic"``:
+    the caller asserts the scenario is *exactly tractable* (the count
+    simplex fits the analytic state budget, plus any closed-form vote
+    tables the workload needs), in which case the exact answer beats any
+    amount of sampling.
+    """
+    if policy not in ENGINE_POLICIES:
+        raise ValueError(
+            f"engine must be one of {ENGINE_POLICIES}, got {policy!r}"
+        )
+    if policy != "auto":
+        return policy
+    if allow_analytic:
+        return "analytic"
+    if counts_threshold is None:
+        counts_threshold = DEFAULT_COUNTS_THRESHOLD
+    elif counts_threshold < 1:
+        raise ValueError(
+            f"counts_threshold must be >= 1, got {counts_threshold}"
+        )
+    return "counts" if num_nodes >= counts_threshold else "batched"
+
 
 #: The one dynamics-class table all three tiers share, keyed ``(tier, rule)``.
 _DYNAMICS_CLASSES: Dict[Tuple[str, str], type] = {
@@ -136,9 +196,7 @@ def build_dynamics(
     accepted by) ``"h-majority"``, and ``epsilon`` (the target agreement
     precision) is only accepted by ``"approximate-consensus"``.
     ``rng_mode`` applies to the batched and counts tiers only (the
-    sequential classes take a single source).  The construction is
-    identical to what the legacy per-tier factories produced, so seeded
-    runs are bitwise reproducible across the migration.
+    sequential classes take a single source).
     """
     if tier not in ENGINE_TIERS:
         raise ValueError(

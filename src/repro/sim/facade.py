@@ -41,7 +41,11 @@ from repro.faults import FaultedDeliveryEngine, FaultedPhaseSampler
 from repro.network.pull_model import vote_law_cache_info
 from repro.network.topology import GraphPushModel, standard_topology
 from repro.noise.matrix import NoiseMatrix
-from repro.sim.engines import ENGINE_REGISTRY, build_dynamics
+from repro.sim.engines import (
+    ENGINE_REGISTRY,
+    build_dynamics,
+    resolve_engine_policy,
+)
 from repro.sim.result import SimulationResult
 from repro.sim.scenario import Scenario
 from repro.utils.rng import RandomState, as_trial_generators, spawn_generators
@@ -141,11 +145,9 @@ def _resolve_engine(scenario: Scenario) -> Tuple[str, Optional[str]]:
     """The concrete tier for the scenario's engine policy, plus the
     degradation reason (``None`` when the policy was served as asked).
 
-    Delegates to :func:`repro.experiments.runner.resolve_trial_engine` (the
-    single owner of the ``auto`` threshold semantics, including the
-    process-wide default installed by ``set_default_counts_threshold``).
-    Imported lazily: the runner imports the sim engine registry, so a
-    module-level import would be circular.
+    Delegates to :func:`~repro.sim.engines.resolve_engine_policy` with the
+    scenario's own ``counts_threshold``: the tier is a function of the
+    scenario alone.
 
     ``auto`` prefers the analytic tier whenever the scenario is exactly
     tractable (tiny ``n * k``): the exact chain answers in one kernel
@@ -155,9 +157,7 @@ def _resolve_engine(scenario: Scenario) -> Tuple[str, Optional[str]]:
     """
     if scenario.engine != "auto":
         return _degrade_for_faults(scenario, scenario.engine)
-    from repro.experiments.runner import resolve_trial_engine
-
-    engine = resolve_trial_engine(
+    engine = resolve_engine_policy(
         "auto",
         scenario.num_nodes,
         scenario.counts_threshold,

@@ -30,7 +30,30 @@ from repro.dynamics.base import (
     EnsembleDynamicsResult,
 )
 
-__all__ = ["SimulationResult"]
+__all__ = ["SimulationResult", "jsonify_value"]
+
+
+def jsonify_value(value: Any) -> Any:
+    """Reduce ``value`` to plain JSON-serializable Python.
+
+    Simulation results and experiment records carry numpy scalars (means,
+    counts, boolean verdicts), arrays and tuples; persisting them
+    requires the plain-Python equivalents, and normalizing *before* writing
+    keeps the ``to_json``/``from_json`` round trip exact.
+    """
+    if isinstance(value, (np.bool_,)):
+        return bool(value)
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    if isinstance(value, np.ndarray):
+        return [jsonify_value(entry) for entry in value.tolist()]
+    if isinstance(value, (list, tuple)):
+        return [jsonify_value(entry) for entry in value]
+    if isinstance(value, Mapping):
+        return {str(key): jsonify_value(entry) for key, entry in value.items()}
+    return value
 
 
 def _protocol_trajectories(
@@ -479,15 +502,10 @@ class SimulationResult:
     def to_json_dict(self) -> Dict[str, Any]:
         """The result as plain JSON-serializable data.
 
-        Uses the experiment layer's :func:`~repro.experiments.results.
-        jsonify_value` — the repository's one canonical JSON encoder — so
-        facade payloads and orchestrator artifacts normalize identically.
+        Uses :func:`jsonify_value` — the repository's one canonical JSON
+        encoder — so facade payloads and orchestrator artifacts normalize
+        identically.
         """
-        # Imported lazily: the sim facade must stay importable without the
-        # experiments package (which imports the runner, which imports the
-        # sim engine registry).
-        from repro.experiments.results import jsonify_value
-
         return {
             "workload": self.workload,
             "engine": self.engine,

@@ -31,6 +31,7 @@ from repro.network.delivery import DELIVERY_PROCESSES
 from repro.network.pull_model import vote_table_is_tractable
 from repro.noise.families import uniform_noise_matrix
 from repro.noise.matrix import NoiseMatrix
+from repro.sim.engines import ENGINE_POLICIES
 
 __all__ = [
     "Scenario",
@@ -51,14 +52,6 @@ class ScenarioError(ValueError):
 
 #: Workloads a scenario can describe.
 WORKLOADS = ("rumor", "plurality", "dynamics")
-
-#: Engine policies a scenario can request (``"auto"`` resolves to a concrete
-#: tier by population size; see :func:`repro.experiments.runner.
-#: resolve_trial_engine`).  ``"analytic"`` runs no sampling at all: the
-#: exact Markov chain over opinion counts when ``C(n + k, k)`` fits the
-#: state budget, the mean-field ODE with a Gaussian-diffusion correction
-#: otherwise.
-ENGINE_POLICIES = ("sequential", "batched", "counts", "auto", "analytic")
 
 #: Communication topologies (non-complete graphs run on the sequential
 #: engine only — the batched/counts reformulations assume the complete
@@ -99,7 +92,8 @@ class Scenario:
         bitwise reproducible per engine tier.
     counts_threshold:
         The ``"auto"`` switch-over population size (only meaningful with
-        ``engine="auto"``; ``None`` uses the process-wide default).
+        ``engine="auto"``; ``None`` means
+        :data:`~repro.sim.engines.DEFAULT_COUNTS_THRESHOLD`).
     correct_opinion:
         The rumor source's opinion (``workload="rumor"`` only).
     support_size:

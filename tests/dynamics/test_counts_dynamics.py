@@ -18,10 +18,10 @@ from repro.dynamics import (
     CountsDynamicsResult,
     EnsembleCountsHMajorityDynamics,
     EnsembleCountsThreeMajorityDynamics,
-    make_counts_dynamics,
 )
 from repro.experiments.workloads import biased_population
 from repro.noise.families import identity_matrix, uniform_noise_matrix
+from repro.sim.engines import build_dynamics
 
 NUM_NODES = 600
 NUM_TRIALS = 6
@@ -39,8 +39,8 @@ def initial_state():
 
 def run_counts(rule, sample_size, channel, initial, seed, trials,
                max_rounds=30, **kwargs):
-    dynamic = make_counts_dynamics(
-        rule, NUM_NODES, channel, seed, sample_size=sample_size
+    dynamic = build_dynamics(
+        "counts", rule, NUM_NODES, channel, seed, sample_size=sample_size
     )
     kwargs.setdefault("target_opinion", 1)
     return dynamic.run(initial, max_rounds, trials, **kwargs)
@@ -106,14 +106,14 @@ class TestReproducibility:
         """With per-trial sources, a counts batch is bitwise identical to
         batch-size-1 counts runs with the same sources."""
         seeds = [101, 102, 103]
-        batched = make_counts_dynamics(
-            rule, NUM_NODES, noise,
+        batched = build_dynamics(
+            "counts", rule, NUM_NODES, noise,
             [np.random.default_rng(seed) for seed in seeds],
             sample_size=sample_size,
         ).run(initial_state, 12, len(seeds), target_opinion=1)
         for trial, seed in enumerate(seeds):
-            single = make_counts_dynamics(
-                rule, NUM_NODES, noise, [np.random.default_rng(seed)],
+            single = build_dynamics(
+                "counts", rule, NUM_NODES, noise, [np.random.default_rng(seed)],
                 sample_size=sample_size,
             ).run(initial_state, 12, 1, target_opinion=1)
             assert np.array_equal(
@@ -142,18 +142,18 @@ class TestRegistryAndApi:
     def test_all_rules_construct(self, noise):
         for rule in DYNAMICS_RULES:
             sample_size = 5 if rule == "h-majority" else None
-            dynamic = make_counts_dynamics(
-                rule, NUM_NODES, noise, 0, sample_size=sample_size
+            dynamic = build_dynamics(
+                "counts", rule, NUM_NODES, noise, 0, sample_size=sample_size
             )
             assert dynamic.num_opinions == 3
 
     def test_rejects_unknown_rule(self, noise):
         with pytest.raises(ValueError):
-            make_counts_dynamics("gossip", NUM_NODES, noise)
+            build_dynamics("counts", "gossip", NUM_NODES, noise)
 
     def test_h_majority_requires_sample_size(self, noise):
         with pytest.raises(ValueError):
-            make_counts_dynamics("h-majority", NUM_NODES, noise)
+            build_dynamics("counts", "h-majority", NUM_NODES, noise)
 
     def test_intractable_vote_table_rejected_eagerly(self, noise):
         with pytest.raises(ValueError, match="intractable"):

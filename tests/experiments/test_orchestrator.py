@@ -80,9 +80,7 @@ class TestResultStoreKeys:
             ExperimentJob("E3", engine="auto", counts_threshold=100)
         )
         # The process-wide default is restored after the job.
-        assert (
-            runner_module.resolve_trial_engine("auto", 200) == "batched"
-        )
+        assert runner_module._active_counts_threshold is None
 
     def test_changed_config_misses(self, tmp_path):
         spec = get_spec("E11")

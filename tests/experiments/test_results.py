@@ -7,7 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.experiments.results import ExperimentTable, jsonify_value
+from repro.experiments.results import ExperimentTable
+from repro.sim.result import jsonify_value
 
 
 @pytest.fixture

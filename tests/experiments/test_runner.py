@@ -2,20 +2,15 @@
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import pytest
 
 from repro.core.state import EnsembleState
 from repro.experiments.runner import (
-    DEFAULT_COUNTS_THRESHOLD,
-    TRIAL_ENGINE_CHOICES,
     TRIAL_ENGINES,
     dynamics_trial_outcomes,
     protocol_trial_outcomes,
     repeat_trials,
-    resolve_trial_engine,
     set_default_counts_threshold,
     stage1_trial_trajectories,
     stage2_trial_trajectories,
@@ -28,6 +23,7 @@ from repro.experiments.workloads import (
     rumor_instance,
 )
 from repro.noise.families import identity_matrix, uniform_noise_matrix
+from repro.sim.engines import DEFAULT_COUNTS_THRESHOLD
 
 
 class TestRepeatTrials:
@@ -329,114 +325,39 @@ class TestDynamicsTrialOutcomes:
         with pytest.raises(ValueError):
             self.run_engine("batched", rule="bogus")
 
-    def test_engine_cache_deprecated_but_still_works(self):
-        """The legacy sweep fast path warns on use but keeps its behavior:
-        one engine instance per distinct grid cell, reused (with the
-        cell's own seed) when the cell repeats, results unchanged."""
-        initial = biased_population(self.NUM_NODES, 3, 0.3, random_state=1)
-        cache = {}
-        baseline = dynamics_trial_outcomes(
-            initial, identity_matrix(3), "3-majority", 100, 3,
-            random_state=5, trial_engine="counts",
-        )
-        with pytest.warns(DeprecationWarning, match="simulate_sweep"):
-            first = dynamics_trial_outcomes(
-                initial, identity_matrix(3), "3-majority", 100, 3,
-                random_state=5, trial_engine="counts", engine_cache=cache,
-            )
-        assert len(cache) == 1
-        cached_instance = next(iter(cache.values()))
-        with pytest.warns(DeprecationWarning):
-            second = dynamics_trial_outcomes(
-                initial, identity_matrix(3), "3-majority", 100, 3,
-                random_state=5, trial_engine="counts", engine_cache=cache,
-            )
-        assert next(iter(cache.values())) is cached_instance
-        # Seeding stays per-call: cached runs match uncached runs exactly.
-        assert first == baseline == second
-        # A different cell (other engine) gets its own entry.
-        with pytest.warns(DeprecationWarning):
-            dynamics_trial_outcomes(
-                initial, identity_matrix(3), "3-majority", 100, 3,
-                random_state=5, trial_engine="batched", engine_cache=cache,
-            )
-        assert len(cache) == 2
-
-    def test_no_engine_cache_no_warning(self):
-        """The default path must stay silent — `import repro` plus normal
-        calls run under -W error::DeprecationWarning in CI."""
-        initial = biased_population(self.NUM_NODES, 3, 0.3, random_state=1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            dynamics_trial_outcomes(
-                initial, identity_matrix(3), "3-majority", 50, 2,
-                random_state=5, trial_engine="counts",
-            )
-
 
 class TestEngineResolution:
-    def test_concrete_names_pass_through(self):
-        for engine in TRIAL_ENGINES:
-            assert resolve_trial_engine(engine, 10) == engine
-            assert resolve_trial_engine(engine, 10**9) == engine
-
-    def test_auto_switches_at_the_threshold(self):
-        assert resolve_trial_engine("auto", DEFAULT_COUNTS_THRESHOLD - 1) == "batched"
-        assert resolve_trial_engine("auto", DEFAULT_COUNTS_THRESHOLD) == "counts"
-
-    def test_auto_boundary_is_inclusive_on_the_counts_side(self):
-        """At exactly ``n == counts_threshold`` the counts engine wins.
-
-        The documented semantics are ``>=`` (the threshold is the smallest
-        population the n-independent engine serves); this pin keeps the
-        boundary from silently drifting to ``>``.
-        """
-        for threshold in (1, 2, 77, DEFAULT_COUNTS_THRESHOLD):
-            assert (
-                resolve_trial_engine("auto", threshold, counts_threshold=threshold)
-                == "counts"
-            )
-            assert (
-                resolve_trial_engine(
-                    "auto", threshold - 1, counts_threshold=threshold
-                )
-                == "batched"
-            )
-
-    def test_facade_auto_resolution_matches_runner_boundary(self):
-        """simulate()'s auto policy resolves through the same boundary."""
-        from repro.sim import Scenario
-        from repro.sim.facade import _resolve_engine
-
-        at = Scenario(
-            workload="rumor", num_nodes=64, engine="auto", counts_threshold=64
-        )
-        below = Scenario(
-            workload="rumor", num_nodes=63, engine="auto", counts_threshold=64
-        )
-        assert _resolve_engine(at) == ("counts", None)
-        assert _resolve_engine(below) == ("batched", None)
-
-    def test_auto_honours_explicit_threshold(self):
-        assert resolve_trial_engine("auto", 100, counts_threshold=50) == "counts"
-        assert resolve_trial_engine("auto", 100, counts_threshold=500) == "batched"
-        with pytest.raises(ValueError):
-            resolve_trial_engine("auto", 100, counts_threshold=0)
-
     def test_auto_honours_process_default_override(self):
+        """The per-trial helpers still read the runner's process default:
+        under an override of 10, 'auto' at n=100 runs the counts engine
+        (bitwise equal to an explicit counts request), and the batched
+        engine again once the default is restored."""
+        noise = uniform_noise_matrix(3, 0.35)
+
+        def outcomes(trial_engine):
+            return protocol_trial_outcomes(
+                rumor_instance(100, 3, 1), noise, 0.35, 2, 7,
+                target_opinion=1, trial_engine=trial_engine,
+            )
+
+        counts, batched = outcomes("counts"), outcomes("batched")
+        assert counts != batched
         try:
             assert set_default_counts_threshold(10) == 10
-            assert resolve_trial_engine("auto", 100) == "counts"
+            assert outcomes("auto") == counts
         finally:
             assert (
                 set_default_counts_threshold(None) == DEFAULT_COUNTS_THRESHOLD
             )
-        assert resolve_trial_engine("auto", 100) == "batched"
+        assert outcomes("auto") == batched
 
-    def test_choices_include_auto(self):
-        assert "auto" in TRIAL_ENGINE_CHOICES
-        with pytest.raises(ValueError):
-            resolve_trial_engine("bogus", 10)
+    def test_rejects_the_analytic_tier(self):
+        initial = biased_population(100, 3, 0.3, random_state=1)
+        with pytest.raises(ValueError, match="analytic"):
+            dynamics_trial_outcomes(
+                initial, identity_matrix(3), "voter", 5, 2,
+                random_state=0, trial_engine="analytic",
+            )
 
     def test_auto_routes_protocol_trials(self):
         noise = uniform_noise_matrix(3, 0.35)

@@ -29,10 +29,10 @@ import pytest
 
 from repro.core.protocol import CountsProtocol, run_heterogeneous_counts_protocol
 from repro.core.state import CountsState
-from repro.dynamics import make_counts_dynamics
 from repro.faults import FaultModel
 from repro.noise.families import uniform_noise_matrix
 from repro.sim import Scenario
+from repro.sim.engines import build_dynamics
 from repro.sim.facade import _protocol_task
 
 #: Any traced axis at or above this is treated as an ``n``-sized leak.
@@ -134,13 +134,14 @@ def test_counts_dynamics_allocate_no_n_sized_axis(shape_log):
         ("h-majority", 5),
         ("undecided-state", None),
         ("median-rule", None),
+        ("approximate-consensus", None),
     ]:
         generators = [
             _RecordingGenerator(seed, shape_log)
             for seed in range(NUM_TRIALS)
         ]
-        dynamic = make_counts_dynamics(
-            rule, NUM_NODES, noise, generators, sample_size=sample_size
+        dynamic = build_dynamics(
+            "counts", rule, NUM_NODES, noise, generators, sample_size=sample_size
         )
         result = dynamic.run(
             initial, 5, NUM_TRIALS, target_opinion=1,
@@ -205,7 +206,7 @@ def test_counts_dynamics_run_at_a_trillion_nodes():
     initial = CountsState(
         np.array([500 * 10**9, 300 * 10**9, 200 * 10**9]), 10**12
     )
-    result = make_counts_dynamics("3-majority", 10**12, noise, 0).run(
+    result = build_dynamics("counts", "3-majority", 10**12, noise, 0).run(
         initial, 10, 4, target_opinion=1, stop_at_consensus=False
     )
     assert result.num_trials == 4

@@ -38,8 +38,14 @@ class TestPublicApi:
         assert epsilon == pytest.approx(0.4, abs=1e-6)
 
     def test_engine_factory_exported(self):
-        engine = repro.make_engine("push", 10, repro.identity_matrix(2))
+        engine = repro.make_delivery_engine(
+            "push", 10, repro.identity_matrix(2)
+        )
         assert isinstance(engine, repro.UniformPushModel)
+        dynamic = repro.build_dynamics(
+            "counts", "voter", 10, repro.identity_matrix(2), 0
+        )
+        assert isinstance(dynamic, repro.EnsembleCountsDynamics)
 
     def test_memory_helpers_exported(self):
         schedule = repro.ProtocolSchedule.for_population(1000, 0.2)

@@ -1,11 +1,10 @@
-"""Tests for simulate() — legacy equivalence, provenance, JSON, shims."""
+"""Tests for simulate() — legacy equivalence, auto policy, provenance, JSON."""
 
 from __future__ import annotations
 
 import json
 import subprocess
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ from repro.experiments.orchestrator import ResultStore
 from repro.experiments.runner import (
     dynamics_trial_outcomes,
     protocol_trial_outcomes,
+    set_default_counts_threshold,
 )
 from repro.sim import (
     ENGINE_REGISTRY,
@@ -154,6 +154,21 @@ class TestAutoPolicy:
         )
         assert big.engine == "counts"
 
+    def test_auto_ignores_the_runner_process_default(self):
+        """The tier is a function of the scenario: the per-trial helpers'
+        process-wide threshold override must not reach simulate()."""
+        scenario = Scenario(
+            workload="rumor", num_nodes=3000, num_opinions=3,
+            engine="auto", seed=SEED,
+        )
+        before = simulate(scenario).engine
+        try:
+            set_default_counts_threshold(1000)
+            during = simulate(scenario).engine
+        finally:
+            set_default_counts_threshold(None)
+        assert before == during == "batched"
+
     def test_auto_degrades_intractable_counts_h_majority_to_batched(self):
         result = simulate(
             dynamics_scenario(
@@ -267,43 +282,7 @@ class TestResultStoreStability:
         assert key == store.key_of(json.loads(json.dumps(identity)))
 
 
-class TestDeprecationShims:
-    def test_legacy_factories_warn_and_build_identical_engines(self, uniform3):
-        from repro.dynamics import (
-            make_counts_dynamics,
-            make_dynamics,
-            make_ensemble_dynamics,
-        )
-        from repro.sim import build_dynamics
-
-        with pytest.warns(DeprecationWarning, match="build_dynamics"):
-            legacy = make_dynamics("voter", 50, uniform3, 0)
-        assert type(legacy) is type(
-            build_dynamics("sequential", "voter", 50, uniform3, 0)
-        )
-        with pytest.warns(DeprecationWarning):
-            batched = make_ensemble_dynamics("3-majority", 50, uniform3, 0)
-        assert type(batched) is type(
-            build_dynamics("batched", "3-majority", 50, uniform3, 0)
-        )
-        with pytest.warns(DeprecationWarning):
-            counts = make_counts_dynamics("median-rule", 50, uniform3, 0)
-        assert type(counts) is type(
-            build_dynamics("counts", "median-rule", 50, uniform3, 0)
-        )
-
-    def test_make_engine_warns_and_delegates(self, uniform3):
-        from repro.core.protocol import make_engine
-        from repro.network.delivery import make_delivery_engine
-        from repro.network.push_model import UniformPushModel
-
-        with pytest.warns(DeprecationWarning, match="make_delivery_engine"):
-            engine = make_engine("push", 10, uniform3)
-        assert isinstance(engine, UniformPushModel)
-        assert isinstance(
-            make_delivery_engine("push", 10, uniform3), UniformPushModel
-        )
-
+class TestImports:
     def test_plain_import_emits_no_deprecation_warning(self):
         """`import repro` must stay silent — the CI gate in miniature."""
         completed = subprocess.run(
@@ -319,21 +298,21 @@ class TestDeprecationShims:
         )
         assert completed.returncode == 0, completed.stderr
 
-    def test_shimmed_runs_stay_bitwise_reproducible(self, uniform3):
-        """A seeded shim-built engine reproduces the registry-built one."""
-        from repro.dynamics import make_ensemble_dynamics
-        from repro.experiments.workloads import biased_population
-        from repro.sim import build_dynamics
-
-        initial = biased_population(200, 3, 0.3, random_state=3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            old = make_ensemble_dynamics("3-majority", 200, uniform3, 9).run(
-                initial, 60, 3, target_opinion=1
-            )
-        new = build_dynamics("batched", "3-majority", 200, uniform3, 9).run(
-            initial, 60, 3, target_opinion=1
+    def test_sim_layer_loads_no_experiments_module(self):
+        """simulate(), to_json() and an unstored sweep stay inside
+        repro.sim: the experiments package sits on top of it."""
+        script = (
+            "import sys\n"
+            "from repro.sim import Scenario, ScenarioGrid, simulate, "
+            "simulate_sweep\n"
+            "base = Scenario(workload='rumor', num_nodes=300, num_trials=2)\n"
+            "simulate(base).to_json()\n"
+            "simulate_sweep(ScenarioGrid(base, {'epsilon': (0.3, 0.35)}))\n"
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('repro.experiments')))\n"
         )
-        np.testing.assert_array_equal(old.successes, new.successes)
-        np.testing.assert_array_equal(old.rounds_executed, new.rounds_executed)
-        np.testing.assert_array_equal(old.bias_history, new.bias_history)
+        completed = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "[]"

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.experiments.orchestrator import ResultStore
+from repro.experiments.runner import set_default_counts_threshold
 from repro.sim import Scenario, ScenarioGrid, SweepResult, simulate, simulate_sweep
 from repro.utils.rng import derive_seed
 
@@ -228,8 +229,17 @@ class TestGridProperties:
 # --------------------------------------------------------------------- #
 
 
+#: Per-rule overrides of ``dynamics_base()``: at n = 300 approximate
+#: consensus agrees after its first phase, so a small population with more
+#: opinions keeps its trials running for several phases.
+RULE_OVERRIDES = {
+    "approximate-consensus": {"num_nodes": 12, "num_opinions": 5},
+}
+
+
 class TestDynamicsCountsEquivalence:
-    """Every swept axis through the merged heterogeneous counts ensemble."""
+    """Every swept axis through the merged heterogeneous counts ensemble
+    (and its serial fallback loop for rules with no merged kernel)."""
 
     @pytest.mark.parametrize(
         "rule,sample_size",
@@ -239,14 +249,19 @@ class TestDynamicsCountsEquivalence:
             ("h-majority", 5),
             ("undecided-state", None),
             ("median-rule", None),
+            ("approximate-consensus", None),
         ],
     )
     def test_epsilon_axis_per_rule(self, rule, sample_size):
         grid = ScenarioGrid(
-            dynamics_base(rule=rule, sample_size=sample_size),
+            dynamics_base(
+                rule=rule, sample_size=sample_size,
+                **RULE_OVERRIDES.get(rule, {}),
+            ),
             {"epsilon": (0.05, 0.2, 0.4)},
         )
-        assert_sweep_matches_serial(grid)
+        sweep = assert_sweep_matches_serial(grid)
+        assert max(int(result.rounds.max()) for result in sweep) > 1
 
     def test_rule_axis_mixes_merge_groups(self):
         # One grid spanning every rule family (h-majority aside — scenario
@@ -459,6 +474,32 @@ class TestSweepStore:
         for index in range(extended.size):
             assert_results_equal(
                 serial[index], sweep[index], f"extended point {index}"
+            )
+
+    def test_runner_process_default_never_reaches_the_store(self, tmp_path):
+        """A sweep stored while the per-trial helpers' threshold override
+        is set must not serve other engines' results afterwards: the
+        scenario alone decides the tier, and the tier is what's stored."""
+        store = ResultStore(tmp_path / "results")
+        grid = ScenarioGrid(
+            Scenario(
+                workload="rumor", num_nodes=3000, num_opinions=3,
+                engine="auto", num_trials=2, seed=5,
+            ),
+            {"epsilon": (0.3, 0.35)},
+        )
+        try:
+            set_default_counts_threshold(1000)
+            simulate_sweep(grid, store=store, store_label="sweep-test")
+        finally:
+            set_default_counts_threshold(None)
+        cached = simulate_sweep(grid, store=store, store_label="sweep-test")
+        fresh = simulate_sweep(grid)
+        assert fresh.engines == ["batched", "batched"]
+        assert cached.engines == fresh.engines
+        for index in range(grid.size):
+            assert_results_equal(
+                fresh[index], cached[index], f"cached point {index}"
             )
 
     def test_cache_is_label_scoped(self, tmp_path):
