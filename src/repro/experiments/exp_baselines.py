@@ -16,12 +16,12 @@ one-shot dynamics lose the plurality (or fail to converge within the round
 budget) while the paper's two-stage protocol still succeeds, at the cost of
 its ``O(log n / eps^2)`` round budget.
 
-All repeated trials route through the shared trial runner
-(:func:`~repro.experiments.runner.protocol_trial_outcomes` and
-:func:`~repro.experiments.runner.dynamics_trial_outcomes`), so the whole
-comparison runs on the batched ensemble engines by default; set
-``trial_engine="sequential"`` in the configuration to cross-check against
-the reference loops.
+Every row is one :class:`~repro.sim.scenario.Scenario` (``plurality`` for
+the protocol, ``dynamics`` for the baselines) run through
+:func:`~repro.sim.facade.simulate`, so the whole comparison runs on the
+batched ensemble engines by default; set ``trial_engine="sequential"`` in
+the configuration to cross-check against the reference loops, or
+``"counts"`` for the sufficient-statistics tier.
 """
 
 from __future__ import annotations
@@ -30,18 +30,13 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from repro.analysis.convergence import estimate_success_probability
 from repro.experiments.results import ExperimentTable
-from repro.experiments.runner import (
-    dynamics_trial_outcomes,
-    protocol_trial_outcomes,
-)
+from repro.experiments.runner import scenario_counts_threshold
 from repro.experiments.spec import register_experiment
-from repro.experiments.workloads import biased_population
 from repro.noise.families import identity_matrix, uniform_noise_matrix
-from repro.utils.rng import RandomState, derive_seed
+from repro.sim import Scenario, simulate
+from repro.utils.rng import RandomState
 from repro.utils.validation import require_positive_int
 
 __all__ = ["BaselineComparisonConfig", "run"]
@@ -82,7 +77,7 @@ class BaselineComparisonConfig:
 
 
 def _baseline_rules() -> List[Tuple[str, str, Optional[int]]]:
-    """(table name, runner rule, sample_size) for every baseline dynamic."""
+    """(table name, dynamics rule, sample_size) for every baseline dynamic."""
     return [
         ("3-majority", "3-majority", None),
         ("5-majority", "h-majority", 5),
@@ -115,69 +110,49 @@ def run(
     noiseless = identity_matrix(config.num_opinions)
     noisy = uniform_noise_matrix(config.num_opinions, config.epsilon)
 
-    for channel_index, (channel_name, channel) in enumerate(
-        (("noise-free", noiseless), ("noisy", noisy))
-    ):
-        # Every algorithm on this channel starts from the same weakly biased,
-        # fully opinionated population (the node placement is irrelevant on
-        # the complete graph; a fixed per-channel seed keeps it reproducible).
-        initial = biased_population(
-            config.num_nodes,
-            config.num_opinions,
-            config.initial_bias,
-            random_state=derive_seed(random_state, channel_index),
-        )
-
-        # --- The paper's protocol ------------------------------------------------
-        outcomes = protocol_trial_outcomes(
-            initial,
-            channel,
-            config.epsilon,
-            config.num_trials,
-            random_state,
-            target_opinion=1,
-            trial_engine=config.trial_engine,
-        )
+    def add_row(algorithm: str, channel_name: str, scenario: Scenario) -> None:
+        result = simulate(scenario)
         success_rate, _ = estimate_success_probability(
-            [outcome.success for outcome in outcomes]
+            [bool(success) for success in result.successes]
         )
         table.add_record(
-            algorithm="two-stage protocol (this paper)",
+            algorithm=algorithm,
             channel=channel_name,
             success_rate=success_rate,
-            mean_rounds=float(
-                np.mean([outcome.total_rounds for outcome in outcomes])
-            ),
-            mean_final_bias=float(
-                np.mean([outcome.final_bias for outcome in outcomes])
-            ),
+            mean_rounds=result.mean_rounds,
+            mean_final_bias=result.mean_final_bias,
         )
 
-        # --- Baseline dynamics ---------------------------------------------------
+    for channel_name, channel in (("noise-free", noiseless), ("noisy", noisy)):
+        # Every algorithm on this channel starts from the same weakly biased,
+        # fully opinionated population under the same seed.
+        common = dict(
+            num_nodes=config.num_nodes,
+            num_opinions=config.num_opinions,
+            epsilon=config.epsilon,
+            noise=channel,
+            engine=config.trial_engine,
+            counts_threshold=scenario_counts_threshold(config.trial_engine),
+            num_trials=config.num_trials,
+            seed=random_state,
+            bias=config.initial_bias,
+            record_trajectories=False,
+        )
+        add_row(
+            "two-stage protocol (this paper)",
+            channel_name,
+            Scenario(workload="plurality", **common),
+        )
         for name, rule, sample_size in _baseline_rules():
-            outcomes = dynamics_trial_outcomes(
-                initial,
-                channel,
-                rule,
-                config.max_rounds_dynamics,
-                config.num_trials,
-                random_state,
-                sample_size=sample_size,
-                target_opinion=1,
-                trial_engine=config.trial_engine,
-            )
-            success_rate, _ = estimate_success_probability(
-                [outcome.success for outcome in outcomes]
-            )
-            table.add_record(
-                algorithm=name,
-                channel=channel_name,
-                success_rate=success_rate,
-                mean_rounds=float(
-                    np.mean([outcome.rounds_executed for outcome in outcomes])
-                ),
-                mean_final_bias=float(
-                    np.mean([outcome.final_bias for outcome in outcomes])
+            add_row(
+                name,
+                channel_name,
+                Scenario(
+                    workload="dynamics",
+                    rule=rule,
+                    sample_size=sample_size,
+                    max_rounds=config.max_rounds_dynamics,
+                    **common,
                 ),
             )
     table.add_note(

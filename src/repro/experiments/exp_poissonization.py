@@ -18,12 +18,13 @@ Two checks:
 The Lemma-2 transfer factor ``e^k sqrt(prod h_i)`` is reported alongside, to
 show the regime where Lemma 3's condition on the failure exponent applies.
 
-The dynamic check routes through the shared trial runner
-(:func:`~repro.experiments.runner.protocol_trial_outcomes` with its
-``process`` knob), so it runs on the batched ensemble engine by default;
-``trial_engine="sequential"`` cross-checks against the reference loop.  The
-counts engine is *not* offered: its delivery is always the counts-native
-Claim-1/Poissonized model, which would make the O/B/P comparison vacuous.
+The dynamic check runs one ``rumor`` :class:`~repro.sim.scenario.Scenario`
+per delivery process (its ``process`` knob) through
+:func:`~repro.sim.facade.simulate`, on the batched ensemble engine by
+default; ``trial_engine="sequential"`` cross-checks against the reference
+loop.  The counts engine is *not* offered: its delivery is always the
+counts-native Claim-1/Poissonized model, which would make the O/B/P
+comparison vacuous.
 """
 
 from __future__ import annotations
@@ -41,11 +42,11 @@ from repro.analysis.poisson import (
 )
 from repro.network.delivery import make_delivery_engine
 from repro.experiments.results import ExperimentTable
-from repro.experiments.runner import protocol_trial_outcomes
 from repro.experiments.spec import register_experiment
-from repro.experiments.workloads import biased_population, rumor_instance
+from repro.experiments.workloads import biased_population
 from repro.noise.families import uniform_noise_matrix
-from repro.utils.rng import RandomState, as_generator
+from repro.sim import Scenario, simulate
+from repro.utils.rng import RandomState, as_generator, derive_seed
 
 __all__ = ["PoissonizationConfig", "run"]
 
@@ -156,36 +157,32 @@ def _static_comparison(
 
 def _dynamic_comparison(
     config: PoissonizationConfig,
-    rng: np.random.Generator,
+    random_state: RandomState,
     table: ExperimentTable,
 ) -> None:
     """Full protocol runs under each delivery process."""
-    noise = uniform_noise_matrix(config.num_opinions, config.epsilon)
-    initial = rumor_instance(config.dynamic_num_nodes, config.num_opinions, 1)
-    for process in ("push", "balls_bins", "poisson"):
-        outcomes = protocol_trial_outcomes(
-            initial,
-            noise,
-            config.epsilon,
-            config.dynamic_trials,
-            rng,
-            target_opinion=1,
-            process=process,
-            trial_engine=config.trial_engine,
-        )
-        success_rate = float(
-            np.mean([outcome.success for outcome in outcomes])
-        )
-        mean_bias = float(
-            np.mean([outcome.final_bias for outcome in outcomes])
+    for index, process in enumerate(("push", "balls_bins", "poisson")):
+        result = simulate(
+            Scenario(
+                workload="rumor",
+                num_nodes=config.dynamic_num_nodes,
+                num_opinions=config.num_opinions,
+                epsilon=config.epsilon,
+                engine=config.trial_engine,
+                num_trials=config.dynamic_trials,
+                seed=derive_seed(random_state, index),
+                correct_opinion=1,
+                process=process,
+                record_trajectories=False,
+            )
         )
         table.add_record(
             check="dynamic",
             comparison=f"protocol under {process}",
             tv_total_counts=None,
             tv_per_opinion_counts=None,
-            success_rate=success_rate,
-            mean_final_bias=mean_bias,
+            success_rate=result.success_rate,
+            mean_final_bias=result.mean_final_bias,
         )
 
 
@@ -210,6 +207,6 @@ def run(
         paper_claim=_PAPER_CLAIM,
     )
     _static_comparison(config, rng, table)
-    _dynamic_comparison(config, rng, table)
+    _dynamic_comparison(config, random_state, table)
     table.add_note(f"dynamic-check trial engine: {config.trial_engine}")
     return table

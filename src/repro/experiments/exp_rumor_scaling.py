@@ -9,10 +9,12 @@ full two-stage protocol from a single source and records:
 * the mean number of communication rounds,
 * the theoretical clock ``log2(n)/eps^2`` the rounds should scale with.
 
-A final least-squares fit of mean rounds against the clock summarizes the
-scaling; Theorem 1 predicts a near-constant proportionality factor and
-success probability close to 1 throughout the grid (for ``eps`` well above
-the ``n^(-1/4)`` threshold explored separately in E9).
+The grid runs as one :class:`~repro.sim.sweep.ScenarioGrid` through
+:func:`~repro.sim.sweep.simulate_sweep`.  A final least-squares fit of mean
+rounds against the clock summarizes the scaling; Theorem 1 predicts a
+near-constant proportionality factor and success probability close to 1
+throughout the grid (for ``eps`` well above the ``n^(-1/4)`` threshold
+explored separately in E9).
 """
 
 from __future__ import annotations
@@ -23,10 +25,9 @@ from typing import List, Optional, Sequence
 from repro.analysis.convergence import estimate_success_probability, fit_round_complexity
 from repro.core.schedule import theoretical_round_complexity
 from repro.experiments.results import ExperimentTable
-from repro.experiments.runner import protocol_trial_outcomes, summarize
+from repro.experiments.runner import scenario_counts_threshold, summarize
 from repro.experiments.spec import register_experiment
-from repro.experiments.workloads import rumor_instance
-from repro.noise.families import uniform_noise_matrix
+from repro.sim import Scenario, ScenarioGrid, simulate_sweep
 from repro.utils.rng import RandomState
 
 __all__ = ["RumorScalingConfig", "run"]
@@ -43,8 +44,9 @@ class RumorScalingConfig:
     """Parameters of the E1 sweep.
 
     ``trial_engine`` selects how the repeated trials of every grid point are
-    executed: ``"batched"`` (the vectorized ensemble, default) or
-    ``"sequential"`` (the reference single-trial loop).
+    executed: ``"batched"`` (the vectorized ensemble, default),
+    ``"sequential"`` (the reference single-trial loop) or ``"counts"`` (the
+    sufficient-statistics tier, which runs the whole grid as one batch).
     """
 
     num_nodes_grid: Sequence[int] = (500, 1000, 2000)
@@ -94,42 +96,52 @@ def run(
         title=_TITLE,
         paper_claim=_PAPER_CLAIM,
     )
+    # The whole (n, eps) grid is one sweep: on the counts tier it fuses
+    # into a single heterogeneous batch.  A one-value "seed" axis is used
+    # verbatim, so every point runs under the experiment's own seed.
+    grid = ScenarioGrid(
+        Scenario(
+            workload="rumor",
+            num_opinions=config.num_opinions,
+            engine=config.trial_engine,
+            counts_threshold=scenario_counts_threshold(config.trial_engine),
+            num_trials=config.num_trials,
+            correct_opinion=1,
+            round_scale=config.round_scale,
+            record_trajectories=False,
+        ),
+        {
+            "num_nodes": config.num_nodes_grid,
+            "epsilon": config.epsilon_grid,
+            "seed": (random_state,),
+        },
+    )
     mean_rounds: List[float] = []
     nodes_for_fit: List[int] = []
     eps_for_fit: List[float] = []
-    for num_nodes in config.num_nodes_grid:
-        for epsilon in config.epsilon_grid:
-            noise = uniform_noise_matrix(config.num_opinions, epsilon)
-            outcomes = protocol_trial_outcomes(
-                rumor_instance(num_nodes, config.num_opinions, 1),
-                noise,
-                epsilon,
-                config.num_trials,
-                random_state,
-                target_opinion=1,
-                round_scale=config.round_scale,
-                trial_engine=config.trial_engine,
-            )
-            successes = [outcome.success for outcome in outcomes]
-            rounds = [outcome.total_rounds for outcome in outcomes]
-            success_rate, interval = estimate_success_probability(successes)
-            rounds_summary = summarize(rounds)
-            clock = theoretical_round_complexity(num_nodes, epsilon)
-            table.add_record(
-                n=num_nodes,
-                epsilon=epsilon,
-                k=config.num_opinions,
-                trials=config.num_trials,
-                success_rate=success_rate,
-                success_low=interval[0],
-                success_high=interval[1],
-                mean_rounds=rounds_summary["mean"],
-                theory_clock=clock,
-                rounds_per_clock=rounds_summary["mean"] / clock,
-            )
-            mean_rounds.append(rounds_summary["mean"])
-            nodes_for_fit.append(num_nodes)
-            eps_for_fit.append(epsilon)
+    for index, result in enumerate(simulate_sweep(grid)):
+        point = grid.point_overrides(index)
+        num_nodes, epsilon = point["num_nodes"], point["epsilon"]
+        success_rate, interval = estimate_success_probability(
+            [bool(success) for success in result.successes]
+        )
+        rounds_summary = summarize(result.rounds)
+        clock = theoretical_round_complexity(num_nodes, epsilon)
+        table.add_record(
+            n=num_nodes,
+            epsilon=epsilon,
+            k=config.num_opinions,
+            trials=config.num_trials,
+            success_rate=success_rate,
+            success_low=interval[0],
+            success_high=interval[1],
+            mean_rounds=rounds_summary["mean"],
+            theory_clock=clock,
+            rounds_per_clock=rounds_summary["mean"] / clock,
+        )
+        mean_rounds.append(rounds_summary["mean"])
+        nodes_for_fit.append(num_nodes)
+        eps_for_fit.append(epsilon)
     fit = fit_round_complexity(nodes_for_fit, eps_for_fit, mean_rounds)
     table.add_note(
         f"least-squares fit: rounds ~ {fit.constant:.2f} * log2(n)/eps^2 "

@@ -6,7 +6,8 @@ Three pieces turn the registered experiment specs
 * :class:`ResultStore` — a content-keyed JSON store under a ``results/``
   directory.  A run's key is the SHA-256 of its *identity*: experiment id,
   configuration (as a canonical dictionary), seed, engine override, and the
-  code version of the defining experiment module (plus the shared runner).
+  code version of the defining experiment module (plus the shared runner
+  and the :mod:`repro.sim` fingerprint).
   Identical identities hit the cache; any change to the configuration, the
   seed, the engine, or the experiment code misses and recomputes.
 * :func:`run_experiment_job` — one experiment execution as a plain,
@@ -48,6 +49,7 @@ from repro.experiments import runner as runner_module
 from repro.experiments import spec as spec_module
 from repro.experiments.results import ExperimentTable
 from repro.experiments.spec import ExperimentSpec, get_spec, registered_ids
+from repro.sim.facade import sim_code_version
 from repro.sim.result import jsonify_value
 from repro.utils.rng import derive_seed
 
@@ -82,32 +84,25 @@ def experiment_code_version(spec: ExperimentSpec) -> str:
     """A short fingerprint of the code a run of ``spec`` executes.
 
     Hashes the defining experiment module together with the shared trial
-    runner and the :mod:`repro.sim` dispatch layer the runner routes
-    through, so editing any of them invalidates the store entries of the
-    affected experiments (the "code version" component of the content
-    key).  The deeper simulation layers are deliberately not hashed — they
-    are covered by the engine-equivalence test-suite, and hashing the whole
-    package would turn every docstring edit into a full cache flush.
+    runner, the spec registry and the :mod:`repro.sim` layer's own
+    fingerprint (:func:`~repro.sim.facade.sim_code_version`), so editing
+    any of them invalidates the store entries of the affected experiments
+    (the "code version" component of the content key).  The deeper
+    simulation layers are deliberately not hashed — they are covered by
+    the engine-equivalence test-suite, and hashing the whole package would
+    turn every docstring edit into a full cache flush.
     """
     cached = _code_version_cache.get(spec.module_name)
     if cached is not None:
         return cached
     import importlib
 
-    from repro.sim import engines as sim_engines_module
-    from repro.sim import facade as sim_facade_module
-    from repro.sim import result as sim_result_module
-    from repro.sim import scenario as sim_scenario_module
-
     module = importlib.import_module(spec.module_name)
     digest = hashlib.sha256()
     digest.update(_module_source(module).encode())
     digest.update(_module_source(runner_module).encode())
     digest.update(_module_source(spec_module).encode())
-    digest.update(_module_source(sim_engines_module).encode())
-    digest.update(_module_source(sim_facade_module).encode())
-    digest.update(_module_source(sim_scenario_module).encode())
-    digest.update(_module_source(sim_result_module).encode())
+    digest.update(sim_code_version().encode())
     version = digest.hexdigest()[:16]
     _code_version_cache[spec.module_name] = version
     return version

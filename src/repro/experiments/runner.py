@@ -1,34 +1,24 @@
-"""Shared helpers for running repeated trials and parameter sweeps.
+"""Trial bookkeeping that whole-protocol scenarios do not cover yet.
 
-The experiments follow a common pattern: for every point of a small parameter
-grid, run several independent trials (each with its own derived RNG stream),
-and summarize the per-trial outputs.  These helpers centralize the trial
-bookkeeping so that the experiment modules stay declarative.
+Whole-protocol experiments describe each run as a
+:class:`~repro.sim.scenario.Scenario` and execute it through
+:func:`~repro.sim.facade.simulate` / :func:`~repro.sim.sweep.simulate_sweep`.
+What remains here serves the experiments that need something else:
 
-Repeated trials have three interchangeable execution engines:
+* :func:`stage1_trial_trajectories` / :func:`stage2_trial_trajectories` run
+  *one* stage for ``R`` trials and record every phase (E3/E4/E6/E13), on
+  the ``"batched"`` ``(R, n)`` ensemble, the ``"counts"`` ``(R, k)``
+  sufficient statistics, or the ``"sequential"`` reference loop;
+* :func:`repeat_trials`, :func:`sweep_product` and :func:`summarize` are
+  plain repetition / grid / statistics helpers;
+* :func:`set_default_counts_threshold` installs the process-wide ``"auto"``
+  switch-over population size that the CLI's ``--counts-threshold`` sets.
+  The stage helpers read it directly; scenario-based experiments pick it
+  up through :func:`scenario_counts_threshold`.
 
-* ``"batched"`` (default) — all trials run as one vectorized batch over an
-  ``(R, n)`` opinion matrix (:class:`~repro.core.protocol.EnsembleProtocol`
-  for the two-stage protocol,
-  :class:`~repro.dynamics.base.EnsembleOpinionDynamics` for the baseline
-  dynamics), which is many times faster than looping;
-* ``"sequential"`` — the reference implementation: a Python loop of
-  single-trial runs, kept for cross-checking the batched path;
-* ``"counts"`` — the sufficient-statistics engine: trials evolve only their
-  ``(R, k)`` opinion-count matrices
-  (:class:`~repro.core.protocol.CountsProtocol`,
-  :class:`~repro.dynamics.base.EnsembleCountsDynamics`), ``O(k^2)`` per
-  round per trial *independent of* ``n`` — the tier that scales repeated
-  trials to millions of nodes.
-
-``"auto"`` picks between ``"batched"`` and ``"counts"`` by population size
-through :func:`repro.sim.engines.resolve_engine_policy`: from
-``counts_threshold`` nodes on (default: the process override of
-:func:`set_default_counts_threshold`, else
+``"auto"`` resolves through :func:`repro.sim.engines.resolve_engine_policy`:
+from ``counts_threshold`` nodes on (default: the process override, else
 :data:`~repro.sim.engines.DEFAULT_COUNTS_THRESHOLD`) the counts engine wins.
-
-:func:`protocol_trial_outcomes` and :func:`dynamics_trial_outcomes` hide the
-choice behind one call returning a flat list of per-trial outcomes.
 """
 
 from __future__ import annotations
@@ -50,7 +40,6 @@ from typing import (
 
 import numpy as np
 
-from repro.core.protocol import CountsProtocol, EnsembleProtocol, TwoStageProtocol
 from repro.core.schedule import Stage1Schedule, Stage2Schedule
 from repro.core.stage1 import CountsStage1Executor, EnsembleStage1Executor, Stage1Executor
 from repro.core.stage2 import CountsStage2Executor, EnsembleStage2Executor, Stage2Executor
@@ -58,11 +47,7 @@ from repro.core.state import CountsState, EnsembleCountsState, EnsembleState, Po
 from repro.network.balls_bins import CountsDeliveryModel
 from repro.network.push_model import UniformPushModel
 from repro.noise.matrix import NoiseMatrix
-from repro.sim.engines import (
-    DEFAULT_COUNTS_THRESHOLD,
-    build_dynamics,
-    resolve_engine_policy,
-)
+from repro.sim.engines import DEFAULT_COUNTS_THRESHOLD, resolve_engine_policy
 from repro.utils.rng import (
     EnsembleRandomState,
     RandomState,
@@ -75,10 +60,6 @@ __all__ = [
     "repeat_trials",
     "sweep_product",
     "summarize",
-    "TrialOutcome",
-    "protocol_trial_outcomes",
-    "DynamicsTrialOutcome",
-    "dynamics_trial_outcomes",
     "Stage1TrajectoryResult",
     "stage1_trial_trajectories",
     "Stage2TrajectoryResult",
@@ -90,10 +71,10 @@ __all__ = [
 
 T = TypeVar("T")
 
-#: Concrete execution engines accepted by the trial-outcome helpers.
+#: Concrete execution engines accepted by the stage helpers.
 TRIAL_ENGINES = ("batched", "sequential", "counts")
 
-#: The process-wide ``"auto"`` threshold of the per-trial helpers, set by
+#: The process-wide ``"auto"`` threshold of the stage helpers, set by
 #: :func:`set_default_counts_threshold` (``None``: no override).  It goes
 #: with this module once every experiment runs on :mod:`repro.sim`, whose
 #: scenarios carry their threshold themselves.
@@ -141,7 +122,7 @@ def _resolve_engine_for_state(
     """
     if trial_engine == "analytic":
         raise ValueError(
-            "the per-trial helpers sample independent trials, which the "
+            "the stage helpers sample independent trials, which the "
             "analytic (distribution-level) engine does not produce; run "
             "repro.sim.simulate(Scenario(..., engine='analytic')) instead"
         )
@@ -183,283 +164,6 @@ def repeat_trials(
         raise ValueError(f"num_trials must be >= 1, got {num_trials}")
     generators = spawn_generators(num_trials, random_state)
     return [trial(generator) for generator in generators]
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    """The per-trial quantities the repeated-trial experiments consume.
-
-    Attributes
-    ----------
-    success:
-        ``True`` iff the trial ended in consensus on the target opinion.
-    total_rounds:
-        Communication rounds the trial executed.
-    bias_after_stage1:
-        Bias toward the target opinion at the end of Stage 1 (``None`` when
-        Stage 1 recorded no phases).
-    correct_fraction:
-        Fraction of nodes supporting the target opinion at the end.
-    final_bias:
-        Bias of the final distribution toward the target opinion.
-    stage1_rounds:
-        Communication rounds spent in Stage 1.
-    opinionated_fraction_after_stage1:
-        Fraction of opinionated nodes at the end of Stage 1 (``None`` when
-        Stage 1 recorded no phases) — the Lemma 6 quantity.
-    """
-
-    success: bool
-    total_rounds: int
-    bias_after_stage1: Optional[float]
-    correct_fraction: float
-    final_bias: float = 0.0
-    stage1_rounds: int = 0
-    opinionated_fraction_after_stage1: Optional[float] = None
-
-
-def protocol_trial_outcomes(
-    initial_state: PopulationState,
-    noise: NoiseMatrix,
-    epsilon: float,
-    num_trials: int,
-    random_state: RandomState = None,
-    *,
-    target_opinion: Optional[int] = None,
-    process: str = "push",
-    round_scale: float = 1.0,
-    trial_engine: str = "batched",
-    counts_threshold: Optional[int] = None,
-) -> List[TrialOutcome]:
-    """Run ``num_trials`` independent protocol trials from ``initial_state``.
-
-    Every trial starts from the same initial population and runs the full
-    two-stage protocol; the routing between the batched ensemble engine,
-    the counts (sufficient-statistics) engine and the sequential reference
-    loop is controlled by ``trial_engine`` (one of
-    :data:`TRIAL_ENGINES` or ``"auto"``, which switches to ``"counts"`` at
-    ``counts_threshold`` nodes).  All engines derive per-trial randomness
-    from ``random_state``, so a fixed seed gives a reproducible batch
-    either way (though not the same draws across engines).  The counts
-    engine ignores ``process``: its delivery is always the counts-native
-    Claim-1/Poissonized model.
-    """
-    num_nodes = initial_state.num_nodes
-    trial_engine = _resolve_engine_for_state(
-        trial_engine, initial_state, counts_threshold
-    )
-    if trial_engine in ("batched", "counts"):
-        if trial_engine == "batched":
-            protocol = EnsembleProtocol(
-                num_nodes,
-                noise,
-                epsilon=epsilon,
-                process=process,
-                random_state=random_state,
-                round_scale=round_scale,
-            )
-        else:
-            protocol = CountsProtocol(
-                num_nodes,
-                noise,
-                epsilon=epsilon,
-                random_state=random_state,
-                round_scale=round_scale,
-            )
-        result = protocol.run(
-            initial_state, num_trials, target_opinion=target_opinion
-        )
-        stage1_biases = result.biases_after_stage1
-        stage1_opinionated = result.opinionated_after_stage1
-        correct_fractions = result.correct_fractions()
-        final_biases = result.final_biases
-        return [
-            TrialOutcome(
-                success=bool(result.successes[trial]),
-                total_rounds=result.total_rounds,
-                bias_after_stage1=(
-                    float(stage1_biases[trial])
-                    if stage1_biases is not None
-                    else None
-                ),
-                correct_fraction=float(correct_fractions[trial]),
-                final_bias=float(final_biases[trial]),
-                stage1_rounds=result.stage1_rounds,
-                opinionated_fraction_after_stage1=(
-                    float(stage1_opinionated[trial]) / num_nodes
-                    if stage1_opinionated is not None
-                    else None
-                ),
-            )
-            for trial in range(result.num_trials)
-        ]
-
-    def trial(rng: np.random.Generator) -> TrialOutcome:
-        result = TwoStageProtocol(
-            num_nodes,
-            noise,
-            epsilon=epsilon,
-            process=process,
-            random_state=rng,
-            round_scale=round_scale,
-        ).run(initial_state, target_opinion=target_opinion)
-        opinionated = result.opinionated_after_stage1
-        return TrialOutcome(
-            success=result.success,
-            total_rounds=result.total_rounds,
-            bias_after_stage1=result.bias_after_stage1,
-            correct_fraction=result.correct_fraction(),
-            final_bias=result.final_bias,
-            stage1_rounds=result.stage1_rounds,
-            opinionated_fraction_after_stage1=(
-                float(opinionated) / num_nodes
-                if opinionated is not None
-                else None
-            ),
-        )
-
-    return repeat_trials(trial, num_trials, random_state)
-
-
-@dataclass(frozen=True)
-class DynamicsTrialOutcome:
-    """The per-trial quantities of a repeated baseline-dynamics experiment.
-
-    Attributes
-    ----------
-    success:
-        ``True`` iff the trial reached consensus on the target opinion.
-    converged:
-        ``True`` iff the trial reached consensus on *some* opinion.
-    rounds_executed:
-        Synchronous rounds the trial executed before stopping.
-    consensus_opinion:
-        The agreed opinion when ``converged`` (0 otherwise).
-    final_bias:
-        Bias of the final distribution toward the target opinion.
-    """
-
-    success: bool
-    converged: bool
-    rounds_executed: int
-    consensus_opinion: int
-    final_bias: float
-
-
-def dynamics_trial_outcomes(
-    initial_state: Union[PopulationState, EnsembleState],
-    noise: NoiseMatrix,
-    rule: str,
-    max_rounds: int,
-    num_trials: int,
-    random_state: EnsembleRandomState = None,
-    *,
-    sample_size: Optional[int] = None,
-    target_opinion: Optional[int] = None,
-    stop_at_consensus: bool = True,
-    trial_engine: str = "batched",
-    counts_threshold: Optional[int] = None,
-) -> List[DynamicsTrialOutcome]:
-    """Run ``num_trials`` independent baseline-dynamics trials.
-
-    The dynamics counterpart of :func:`protocol_trial_outcomes`: ``rule``
-    names one of :data:`~repro.dynamics.DYNAMICS_RULES` and ``trial_engine``
-    (one of :data:`TRIAL_ENGINES` or ``"auto"``) routes the batch through the
-    vectorized :class:`~repro.dynamics.base.EnsembleOpinionDynamics` engine
-    (default), the ``O(k)``-per-trial counts engine, or the sequential
-    reference loop of :meth:`~repro.dynamics.base.OpinionDynamics.run`
-    calls.  All engines derive the same per-trial child streams from
-    ``random_state``; the batched and counts engines are reproducible trial
-    by trial (a batch is bitwise identical to batch-size-1 runs of the same
-    engine), while agreement across engines is distributional.
-
-    ``initial_state`` may be one :class:`PopulationState` (every trial
-    starts from it) or an :class:`EnsembleState` with per-trial rows
-    (``num_trials`` must then match); the counts engine additionally
-    accepts the counts-native :class:`CountsState` /
-    :class:`EnsembleCountsState` (which the per-node engines cannot
-    consume).
-    """
-    if isinstance(
-        initial_state, (EnsembleState, EnsembleCountsState)
-    ) and num_trials != initial_state.num_trials:
-        raise ValueError(
-            f"num_trials = {num_trials} disagrees with the ensemble's "
-            f"{initial_state.num_trials} trials"
-        )
-    num_nodes = initial_state.num_nodes
-    trial_engine = _resolve_engine_for_state(
-        trial_engine, initial_state, counts_threshold
-    )
-    if target_opinion is None:
-        target_opinion = (
-            initial_state.pooled_plurality_opinion()
-            if isinstance(initial_state, (EnsembleState, EnsembleCountsState))
-            else initial_state.plurality_opinion()
-        )
-    target_opinion = int(target_opinion)
-
-    if trial_engine in ("batched", "counts"):
-        dynamic = build_dynamics(
-            trial_engine, rule, num_nodes, noise, random_state,
-            sample_size=sample_size,
-        )
-        result = dynamic.run(
-            initial_state,
-            max_rounds,
-            (
-                num_trials
-                if isinstance(initial_state, (PopulationState, CountsState))
-                else None
-            ),
-            target_opinion=target_opinion,
-            stop_at_consensus=stop_at_consensus,
-            record_history=False,
-        )
-        final_biases = result.final_biases
-        return [
-            DynamicsTrialOutcome(
-                success=bool(result.successes[trial]),
-                converged=bool(result.converged[trial]),
-                rounds_executed=int(result.rounds_executed[trial]),
-                consensus_opinion=int(result.consensus_opinions[trial]),
-                final_bias=float(final_biases[trial]),
-            )
-            for trial in range(result.num_trials)
-        ]
-
-    generators = as_trial_generators(random_state, num_trials)
-    outcomes: List[DynamicsTrialOutcome] = []
-    for trial, generator in enumerate(generators):
-        if isinstance(initial_state, EnsembleState):
-            trial_state = initial_state.trial_state(trial)
-        else:
-            trial_state = initial_state
-        dynamic = build_dynamics(
-            "sequential", rule, num_nodes, noise, generator,
-            sample_size=sample_size,
-        )
-        result = dynamic.run(
-            trial_state,
-            max_rounds,
-            target_opinion=target_opinion,
-            stop_at_consensus=stop_at_consensus,
-            record_history=False,
-        )
-        outcomes.append(
-            DynamicsTrialOutcome(
-                success=result.success,
-                converged=result.converged,
-                rounds_executed=result.rounds_executed,
-                consensus_opinion=result.consensus_opinion,
-                final_bias=(
-                    result.final_state.bias_toward(target_opinion)
-                    if target_opinion > 0
-                    else 0.0
-                ),
-            )
-        )
-    return outcomes
 
 
 @dataclass(frozen=True)
@@ -654,7 +358,7 @@ def stage2_trial_trajectories(
                 use_full_multiset=use_full_multiset,
             )
         else:
-            if isinstance(initial_state, PopulationState):
+            if isinstance(initial_state, (PopulationState, CountsState)):
                 ensemble = EnsembleCountsState.from_state(
                     initial_state, num_trials
                 )

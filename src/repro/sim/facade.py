@@ -6,11 +6,11 @@ up the ``(workload, engine)`` runner in the
 result with provenance (resolved engine, seed, facade code version, wall
 time, the scenario itself).
 
-Every runner reproduces the exact randomness discipline of the legacy entry
-point it supersedes — the protocol classes and the dynamics engines are
-constructed with the same arguments and consume the same draws — so under a
-fixed seed ``simulate()`` is *bitwise identical* to the corresponding
-legacy path (the equivalence test-suite pins this per workload × engine).
+Every runner is a thin driver of one engine tier: it constructs the
+protocol classes or the dynamics engines with the scenario's arguments and
+seed, so under a fixed seed ``simulate()`` is *bitwise identical* to
+driving that engine directly (the equivalence test-suite pins this per
+workload × engine).
 """
 
 from __future__ import annotations
@@ -295,9 +295,8 @@ def _protocol_sequential(
 ) -> SimulationResult:
     """The reference loop: one :class:`TwoStageProtocol` run per trial.
 
-    Trial ``r`` consumes randomness from its own spawned child generator —
-    the same discipline (and hence the same draws) as the legacy
-    ``protocol_trial_outcomes(..., trial_engine="sequential")`` path.
+    Trial ``r`` consumes randomness from its own child generator, the
+    ``r``-th of ``spawn_generators(num_trials, seed)``.
 
     Faulted scenarios track only the honest ``n_h`` nodes and route every
     phase through a per-trial :class:`FaultedDeliveryEngine` (fresh crash

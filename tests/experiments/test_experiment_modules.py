@@ -9,7 +9,6 @@ full benchmark run.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.experiments import (
@@ -28,6 +27,8 @@ from repro.experiments import (
     exp_stage2_trajectory,
     exp_topologies,
 )
+from repro.experiments.runner import set_default_counts_threshold
+from repro.experiments.spec import get_spec
 
 
 class TestE1RumorScaling:
@@ -233,6 +234,55 @@ class TestE14Topologies:
         assert cycle["mean_degree"] == pytest.approx(2.0)
 
 
+#: Small configurations of the scenario-based whole-protocol experiments,
+#: keyed by experiment id: (module, config factory taking a trial engine).
+SCENARIO_EXPERIMENTS = {
+    "E1": (
+        exp_rumor_scaling,
+        lambda engine: exp_rumor_scaling.RumorScalingConfig(
+            num_nodes_grid=(300, 400),
+            epsilon_grid=(0.35,),
+            num_opinions=3,
+            num_trials=2,
+            trial_engine=engine,
+        ),
+    ),
+    "E2": (
+        exp_plurality_consensus,
+        lambda engine: exp_plurality_consensus.PluralityConsensusConfig(
+            num_nodes=600,
+            support_fractions=(1.0,),
+            bias_multipliers=(4.0,),
+            num_trials=2,
+            trial_engine=engine,
+        ),
+    ),
+    "E7": (
+        exp_noise_matrices,
+        lambda engine: exp_noise_matrices.NoiseMatrixConfig(
+            delta_grid=(0.1,),
+            dynamic_num_nodes=400,
+            dynamic_trials=2,
+            trial_engine=engine,
+        ),
+    ),
+    "E12": (
+        exp_baselines,
+        lambda engine: exp_baselines.BaselineComparisonConfig(
+            num_nodes=500,
+            max_rounds_dynamics=80,
+            num_trials=2,
+            trial_engine=engine,
+        ),
+    ),
+}
+
+
+def _run_scenario_experiment(experiment_id, engine):
+    module, make_config = SCENARIO_EXPERIMENTS[experiment_id]
+    return module.run(make_config(engine), random_state=0)
+
+
 class TestEngineUniformity:
     """Every migrated experiment honours its declared trial engines."""
 
@@ -263,6 +313,54 @@ class TestEngineUniformity:
         )
         table = exp_stage2_trajectory.run(config, random_state=0)
         assert table.records[-1]["mean_bias_after"] > 0.9
+
+    @pytest.mark.parametrize("engine", get_spec("E1").supported_engines)
+    def test_e1_runs_on_every_engine(self, engine):
+        table = _run_scenario_experiment("E1", engine)
+        assert all(record["success_rate"] >= 0.5 for record in table)
+        assert f"trial engine: {engine}" in table.notes[-1]
+
+    @pytest.mark.parametrize("engine", get_spec("E2").supported_engines)
+    def test_e2_runs_on_every_engine(self, engine):
+        table = _run_scenario_experiment("E2", engine)
+        assert table.records[0]["success_rate"] == 1.0
+        assert f"trial engine: {engine}" in table.notes[-1]
+
+    @pytest.mark.parametrize("engine", get_spec("E7").supported_engines)
+    def test_e7_dynamic_check_runs_on_every_engine(self, engine):
+        table = _run_scenario_experiment("E7", engine)
+        assert "failed to reach consensus on the original plurality in 100%" in (
+            table.notes[-1]
+        )
+
+    @pytest.mark.parametrize("engine", get_spec("E12").supported_engines)
+    def test_e12_runs_on_every_engine(self, engine):
+        table = _run_scenario_experiment("E12", engine)
+        assert len(table) == 12
+        protocol_noisy = table.filtered(
+            algorithm="two-stage protocol (this paper)", channel="noisy"
+        )[0]
+        assert protocol_noisy["success_rate"] == 1.0
+        assert f"trial engine: {engine}" in table.notes[-1]
+
+    @pytest.mark.parametrize("experiment_id", sorted(SCENARIO_EXPERIMENTS))
+    def test_auto_reaches_counts_through_the_process_default(
+        self, experiment_id
+    ):
+        """``run-experiment --counts-threshold`` installs the process
+        default; the scenario-based experiments must pick it up, so 'auto'
+        above the threshold reproduces an explicit counts run."""
+        counts = _run_scenario_experiment(experiment_id, "counts")
+        try:
+            set_default_counts_threshold(10)
+            auto = _run_scenario_experiment(experiment_id, "auto")
+        finally:
+            set_default_counts_threshold(None)
+        assert auto.records == counts.records
+        assert [
+            note.replace("trial engine: auto", "trial engine: counts")
+            for note in auto.notes
+        ] == counts.notes
 
     @pytest.mark.parametrize("engine", ["batched", "sequential"])
     def test_e8_dynamic_check_runs_on_both_per_node_engines(self, engine):

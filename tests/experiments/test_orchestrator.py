@@ -107,6 +107,32 @@ class TestResultStoreKeys:
         assert experiment_code_version(spec) == experiment_code_version(spec)
         assert len(experiment_code_version(spec)) == 16
 
+    def test_sim_sweep_edit_changes_the_code_version(self, monkeypatch):
+        """E9 runs through simulate_sweep, so an edit to repro.sim.sweep
+        must invalidate its stored artifacts."""
+        import inspect
+
+        import repro.sim.facade as facade_module
+        import repro.sim.sweep as sweep_module
+        from repro.experiments import orchestrator
+
+        def clear_caches():
+            monkeypatch.setattr(facade_module, "_code_version", None)
+            monkeypatch.setattr(orchestrator, "_code_version_cache", {})
+
+        spec = get_spec("E9")
+        clear_caches()
+        before = experiment_code_version(spec)
+        getsource = inspect.getsource
+
+        def edited_getsource(obj):
+            source = getsource(obj)
+            return source + "\n# edited\n" if obj is sweep_module else source
+
+        monkeypatch.setattr(inspect, "getsource", edited_getsource)
+        clear_caches()
+        assert experiment_code_version(spec) != before
+
     def test_corrupt_store_file_is_a_miss(self, tmp_path):
         store = ResultStore(tmp_path)
         job = ExperimentJob("E11", seed=0)

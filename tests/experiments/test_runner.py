@@ -5,11 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.state import EnsembleState
+from repro.core.state import CountsState
 from repro.experiments.runner import (
     TRIAL_ENGINES,
-    dynamics_trial_outcomes,
-    protocol_trial_outcomes,
     repeat_trials,
     set_default_counts_threshold,
     stage1_trial_trajectories,
@@ -22,7 +20,7 @@ from repro.experiments.workloads import (
     ensemble_biased_population,
     rumor_instance,
 )
-from repro.noise.families import identity_matrix, uniform_noise_matrix
+from repro.noise.families import uniform_noise_matrix
 from repro.sim.engines import DEFAULT_COUNTS_THRESHOLD
 
 
@@ -77,48 +75,6 @@ class TestSummarize:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             summarize([])
-
-
-class TestProtocolTrialOutcomes:
-    NUM_NODES = 250
-    EPSILON = 0.35
-
-    def run_engine(self, trial_engine, num_trials=4, random_state=0):
-        noise = uniform_noise_matrix(3, self.EPSILON)
-        return protocol_trial_outcomes(
-            rumor_instance(self.NUM_NODES, 3, 1),
-            noise,
-            self.EPSILON,
-            num_trials,
-            random_state,
-            target_opinion=1,
-            trial_engine=trial_engine,
-        )
-
-    @pytest.mark.parametrize("trial_engine", TRIAL_ENGINES)
-    def test_returns_one_outcome_per_trial(self, trial_engine):
-        outcomes = self.run_engine(trial_engine)
-        assert len(outcomes) == 4
-        for outcome in outcomes:
-            assert isinstance(outcome.success, bool)
-            assert outcome.total_rounds > 0
-            assert outcome.bias_after_stage1 is not None
-            assert 0.0 <= outcome.correct_fraction <= 1.0
-
-    @pytest.mark.parametrize("trial_engine", TRIAL_ENGINES)
-    def test_reproducible_with_fixed_seed(self, trial_engine):
-        first = self.run_engine(trial_engine, random_state=3)
-        second = self.run_engine(trial_engine, random_state=3)
-        assert first == second
-
-    def test_engines_agree_on_round_count(self):
-        batched = self.run_engine("batched", num_trials=2)
-        sequential = self.run_engine("sequential", num_trials=2)
-        assert batched[0].total_rounds == sequential[0].total_rounds
-
-    def test_rejects_unknown_engine(self):
-        with pytest.raises(ValueError):
-            self.run_engine("bogus")
 
 
 class TestStage1TrialTrajectories:
@@ -249,158 +205,75 @@ class TestStage2TrialTrajectories:
             self.run_engine("batched", num_trials=2, initial_state=ensemble)
 
 
-class TestDynamicsTrialOutcomes:
-    NUM_NODES = 300
-
-    def run_engine(self, trial_engine, *, rule="3-majority", sample_size=None,
-                   noise=None, num_trials=4, max_rounds=200, random_state=0):
-        noise = noise if noise is not None else identity_matrix(3)
-        initial = biased_population(self.NUM_NODES, 3, 0.3, random_state=1)
-        return dynamics_trial_outcomes(
-            initial,
-            noise,
-            rule,
-            max_rounds,
-            num_trials,
-            random_state,
-            sample_size=sample_size,
-            target_opinion=1,
-            trial_engine=trial_engine,
-        )
-
-    @pytest.mark.parametrize("trial_engine", TRIAL_ENGINES)
-    def test_returns_one_outcome_per_trial(self, trial_engine):
-        outcomes = self.run_engine(trial_engine)
-        assert len(outcomes) == 4
-        for outcome in outcomes:
-            assert isinstance(outcome.success, bool)
-            assert isinstance(outcome.converged, bool)
-            assert outcome.rounds_executed > 0
-            assert outcome.success == (outcome.consensus_opinion == 1)
-            assert -1.0 <= outcome.final_bias <= 1.0
-
-    @pytest.mark.parametrize("trial_engine", TRIAL_ENGINES)
-    def test_reproducible_with_fixed_seed(self, trial_engine):
-        first = self.run_engine(trial_engine, random_state=3)
-        second = self.run_engine(trial_engine, random_state=3)
-        assert first == second
-
-    def test_engines_agree_on_the_certain_event(self):
-        """Noise-free 3-majority from a solid bias converges on opinion 1
-        under both engines."""
-        batched = self.run_engine("batched")
-        sequential = self.run_engine("sequential")
-        assert all(outcome.success for outcome in batched)
-        assert all(outcome.success for outcome in sequential)
-
-    def test_h_majority_accepts_sample_size(self):
-        outcomes = self.run_engine(
-            "batched", rule="h-majority", sample_size=5
-        )
-        assert len(outcomes) == 4
-
-    def test_accepts_prebuilt_ensemble_state(self):
-        initial = biased_population(self.NUM_NODES, 3, 0.3, random_state=1)
-        ensemble = EnsembleState.from_state(initial, 3)
-        for trial_engine in TRIAL_ENGINES:
-            outcomes = dynamics_trial_outcomes(
-                ensemble, identity_matrix(3), "voter", 50, 3,
-                random_state=0, trial_engine=trial_engine,
-            )
-            assert len(outcomes) == 3
-
-    def test_rejects_num_trials_mismatch_for_ensemble_state(self):
-        initial = biased_population(self.NUM_NODES, 3, 0.3, random_state=1)
-        ensemble = EnsembleState.from_state(initial, 3)
-        with pytest.raises(ValueError):
-            dynamics_trial_outcomes(
-                ensemble, identity_matrix(3), "voter", 50, 4, random_state=0
-            )
-
-    def test_rejects_unknown_engine(self):
-        with pytest.raises(ValueError):
-            self.run_engine("bogus")
-
-    def test_rejects_unknown_rule(self):
-        with pytest.raises(ValueError):
-            self.run_engine("batched", rule="bogus")
-
-
 class TestEngineResolution:
+    """The stage helpers resolve ``auto`` themselves: they read the
+    runner's process default and reject the analytic tier."""
+
+    NOISE = uniform_noise_matrix(3, 0.35)
+
+    def stage1(self, trial_engine, initial_state=None, **kwargs):
+        if initial_state is None:
+            initial_state = rumor_instance(100, 3, 1)
+        return stage1_trial_trajectories(
+            initial_state, self.NOISE, 0.35, 2, 7,
+            trial_engine=trial_engine, **kwargs,
+        )
+
+    def stage2(self, trial_engine, initial_state=None, **kwargs):
+        if initial_state is None:
+            initial_state = biased_population(300, 3, 0.3, random_state=1)
+        return stage2_trial_trajectories(
+            initial_state, self.NOISE, 0.35, 2, 7,
+            trial_engine=trial_engine, **kwargs,
+        )
+
     def test_auto_honours_process_default_override(self):
-        """The per-trial helpers still read the runner's process default:
-        under an override of 10, 'auto' at n=100 runs the counts engine
+        """Under an override of 10, 'auto' at n=100 runs the counts engine
         (bitwise equal to an explicit counts request), and the batched
         engine again once the default is restored."""
-        noise = uniform_noise_matrix(3, 0.35)
-
-        def outcomes(trial_engine):
-            return protocol_trial_outcomes(
-                rumor_instance(100, 3, 1), noise, 0.35, 2, 7,
-                target_opinion=1, trial_engine=trial_engine,
-            )
-
-        counts, batched = outcomes("counts"), outcomes("batched")
-        assert counts != batched
+        counts, batched = self.stage1("counts"), self.stage1("batched")
+        assert not np.array_equal(counts.biases, batched.biases)
         try:
             assert set_default_counts_threshold(10) == 10
-            assert outcomes("auto") == counts
+            np.testing.assert_array_equal(
+                self.stage1("auto").biases, counts.biases
+            )
         finally:
             assert (
                 set_default_counts_threshold(None) == DEFAULT_COUNTS_THRESHOLD
             )
-        assert outcomes("auto") == batched
+        np.testing.assert_array_equal(
+            self.stage1("auto").biases, batched.biases
+        )
 
-    def test_rejects_the_analytic_tier(self):
-        initial = biased_population(100, 3, 0.3, random_state=1)
+    @pytest.mark.parametrize("helper", ["stage1", "stage2"])
+    def test_rejects_the_analytic_tier(self, helper):
         with pytest.raises(ValueError, match="analytic"):
-            dynamics_trial_outcomes(
-                initial, identity_matrix(3), "voter", 5, 2,
-                random_state=0, trial_engine="analytic",
-            )
+            getattr(self, helper)("analytic")
 
-    def test_auto_routes_protocol_trials(self):
-        noise = uniform_noise_matrix(3, 0.35)
-        outcomes = protocol_trial_outcomes(
-            rumor_instance(250, 3, 1), noise, 0.35, 2, 0,
-            target_opinion=1, trial_engine="auto", counts_threshold=100,
+    def test_auto_routes_stage1_trials(self):
+        result = self.stage1(
+            "auto", rumor_instance(250, 3, 1), counts_threshold=100
         )
-        assert len(outcomes) == 2
+        counts = self.stage1("counts", rumor_instance(250, 3, 1))
+        np.testing.assert_array_equal(result.biases, counts.biases)
 
-    def test_auto_routes_dynamics_trials(self):
-        initial = biased_population(300, 3, 0.3, random_state=1)
-        outcomes = dynamics_trial_outcomes(
-            initial, identity_matrix(3), "3-majority", 100, 2,
-            random_state=0, trial_engine="auto", counts_threshold=100,
+    def test_auto_routes_stage2_trials(self):
+        result = self.stage2("auto", counts_threshold=100)
+        np.testing.assert_array_equal(
+            result.biases, self.stage2("counts").biases
         )
-        assert len(outcomes) == 2
 
     def test_counts_native_states_always_resolve_to_counts(self):
         """Counts-native inputs carry no per-node information: 'auto' must
         pick the counts engine even below the threshold, and explicit
         per-node engines must be rejected with a clear error."""
-        from repro.core.state import CountsState
-
-        initial = CountsState([100, 60, 40], 300)
-        outcomes = dynamics_trial_outcomes(
-            initial, identity_matrix(3), "voter", 20, 2,
-            random_state=0, trial_engine="auto", stop_at_consensus=False,
-        )
-        assert len(outcomes) == 2
-        noise = uniform_noise_matrix(3, 0.35)
-        protocol = protocol_trial_outcomes(
-            CountsState.single_source(250, 3, 1), noise, 0.35, 2, 0,
-            target_opinion=1, trial_engine="auto",
-        )
-        assert len(protocol) == 2
+        source = CountsState.single_source(250, 3, 1)
+        population = CountsState([150, 100, 50], 300)
+        assert self.stage1("auto", source).num_trials == 2
+        assert self.stage2("auto", population).num_trials == 2
         for engine in ("batched", "sequential"):
             with pytest.raises(ValueError, match="per-node"):
-                dynamics_trial_outcomes(
-                    initial, identity_matrix(3), "voter", 20, 2,
-                    random_state=0, trial_engine=engine,
-                )
+                self.stage1(engine, source)
             with pytest.raises(ValueError, match="per-node"):
-                protocol_trial_outcomes(
-                    CountsState.single_source(250, 3, 1), noise, 0.35, 2, 0,
-                    target_opinion=1, trial_engine=engine,
-                )
+                self.stage2(engine, population)

@@ -9,12 +9,10 @@ import sys
 import numpy as np
 import pytest
 
+from repro.core.protocol import CountsProtocol, EnsembleProtocol, TwoStageProtocol
 from repro.experiments.orchestrator import ResultStore
-from repro.experiments.runner import (
-    dynamics_trial_outcomes,
-    protocol_trial_outcomes,
-    set_default_counts_threshold,
-)
+from repro.experiments.runner import set_default_counts_threshold
+from repro.noise.families import identity_matrix
 from repro.sim import (
     ENGINE_REGISTRY,
     Scenario,
@@ -22,6 +20,8 @@ from repro.sim import (
     sim_code_version,
     simulate,
 )
+from repro.sim.engines import build_dynamics
+from repro.utils.rng import as_trial_generators, spawn_generators
 
 SEED = 13
 TRIALS = 4
@@ -59,14 +59,93 @@ def dynamics_scenario(engine: str, **overrides) -> Scenario:
     return Scenario(**knobs)
 
 
-class TestLegacyEquivalence:
-    """simulate() is bitwise identical to the legacy entry points.
+def protocol_engine_outcomes(scenario: Scenario, engine: str):
+    """Per-trial ``(success, rounds, final_bias, stage-1 bias)`` and the
+    Stage-1 round count from driving the protocol engine directly."""
+    initial_state = scenario.initial_state()
+    num_nodes = scenario.num_nodes
+    noise = scenario.build_noise()
+    target = scenario.target_opinion()
+    if engine == "sequential":
+        results = [
+            TwoStageProtocol(
+                num_nodes, noise, epsilon=scenario.epsilon,
+                random_state=generator,
+            ).run(initial_state, target_opinion=target)
+            for generator in spawn_generators(scenario.num_trials, scenario.seed)
+        ]
+        outcomes = [
+            (
+                result.success, result.total_rounds, result.final_bias,
+                result.bias_after_stage1,
+            )
+            for result in results
+        ]
+        return outcomes, results[0].stage1_rounds
+    protocol_cls = EnsembleProtocol if engine == "batched" else CountsProtocol
+    ensemble = protocol_cls(
+        num_nodes, noise, epsilon=scenario.epsilon,
+        random_state=scenario.seed,
+    ).run(initial_state, scenario.num_trials, target_opinion=target)
+    outcomes = [
+        (
+            bool(ensemble.successes[trial]), ensemble.total_rounds,
+            float(ensemble.final_biases[trial]),
+            float(ensemble.biases_after_stage1[trial]),
+        )
+        for trial in range(ensemble.num_trials)
+    ]
+    return outcomes, ensemble.stage1_rounds
 
-    The legacy path for each pair is the engine-aware trial helper the
-    experiments always used (`protocol_trial_outcomes` /
-    `dynamics_trial_outcomes`), fed the same materialized initial state,
-    the same seed and the same target — the exact call sites the facade
-    supersedes.
+
+def dynamics_engine_outcomes(scenario: Scenario, engine: str):
+    """Per-trial ``(success, converged, rounds, consensus opinion,
+    final_bias)`` from driving the dynamics engine directly."""
+    initial_state = scenario.initial_state()
+    noise = scenario.build_noise()
+    target = scenario.target_opinion()
+    if engine == "sequential":
+        outcomes = []
+        for generator in as_trial_generators(scenario.seed, scenario.num_trials):
+            result = build_dynamics(
+                "sequential", scenario.rule, scenario.num_nodes, noise,
+                generator, sample_size=scenario.sample_size,
+            ).run(
+                initial_state, scenario.max_rounds, target_opinion=target,
+                record_history=False,
+            )
+            outcomes.append((
+                result.success, result.converged, result.rounds_executed,
+                result.consensus_opinion,
+                result.final_state.bias_toward(target),
+            ))
+        return outcomes
+    result = build_dynamics(
+        engine, scenario.rule, scenario.num_nodes, noise, scenario.seed,
+        sample_size=scenario.sample_size,
+    ).run(
+        initial_state, scenario.max_rounds, scenario.num_trials,
+        target_opinion=target, record_history=False,
+    )
+    return [
+        (
+            bool(result.successes[trial]), bool(result.converged[trial]),
+            int(result.rounds_executed[trial]),
+            int(result.consensus_opinions[trial]),
+            float(result.final_biases[trial]),
+        )
+        for trial in range(result.num_trials)
+    ]
+
+
+class TestLegacyEquivalence:
+    """simulate() is bitwise identical to driving each engine directly.
+
+    The reference for each pair constructs the tier's engine by hand —
+    a `TwoStageProtocol` loop over `spawn_generators(R, seed)`,
+    `EnsembleProtocol(...).run`, `CountsProtocol(...).run`, or
+    `build_dynamics(tier, rule, ...).run` — fed the same materialized
+    initial state, the same seed and the same target.
     """
 
     @pytest.mark.parametrize("workload", ["rumor", "plurality"])
@@ -74,27 +153,18 @@ class TestLegacyEquivalence:
     def test_protocol_workloads_match_trial_outcomes(self, workload, engine):
         scenario = protocol_scenario(workload, engine)
         result = simulate(scenario)
-        legacy = protocol_trial_outcomes(
-            scenario.initial_state(),
-            scenario.build_noise(),
-            scenario.epsilon,
-            scenario.num_trials,
-            scenario.seed,
-            target_opinion=scenario.target_opinion(),
-            trial_engine=engine,
-        )
+        legacy, stage1_rounds = protocol_engine_outcomes(scenario, engine)
         assert result.engine == engine
         assert result.num_trials == len(legacy)
-        for trial, outcome in enumerate(legacy):
-            assert bool(result.successes[trial]) == outcome.success
-            assert int(result.rounds[trial]) == outcome.total_rounds
+        for trial, (success, rounds, final_bias, stage1_bias) in enumerate(
+            legacy
+        ):
+            assert bool(result.successes[trial]) == success
+            assert int(result.rounds[trial]) == rounds
             # Bitwise float equality — same engines, same draws.
-            assert float(result.final_biases[trial]) == outcome.final_bias
-            assert (
-                float(result.bias_after_stage1[trial])
-                == outcome.bias_after_stage1
-            )
-        assert result.stage1_rounds == legacy[0].stage1_rounds
+            assert float(result.final_biases[trial]) == final_bias
+            assert float(result.bias_after_stage1[trial]) == stage1_bias
+        assert result.stage1_rounds == stage1_rounds
 
     @pytest.mark.parametrize(
         "engine", ["sequential", "batched", "counts"]
@@ -108,33 +178,58 @@ class TestLegacyEquivalence:
     ):
         scenario = dynamics_scenario(engine, rule=rule, sample_size=sample_size)
         result = simulate(scenario)
-        legacy = dynamics_trial_outcomes(
-            scenario.initial_state(),
-            scenario.build_noise(),
-            rule,
-            scenario.max_rounds,
-            scenario.num_trials,
-            scenario.seed,
-            sample_size=sample_size,
-            target_opinion=scenario.target_opinion(),
-            trial_engine=engine,
-        )
+        legacy = dynamics_engine_outcomes(scenario, engine)
         assert result.engine == engine
-        for trial, outcome in enumerate(legacy):
-            assert bool(result.successes[trial]) == outcome.success
-            assert bool(result.converged[trial]) == outcome.converged
-            assert int(result.rounds[trial]) == outcome.rounds_executed
-            assert (
-                int(result.consensus_opinions[trial])
-                == outcome.consensus_opinion
-            )
-            assert float(result.final_biases[trial]) == outcome.final_bias
+        for trial, (success, converged, rounds, consensus, final_bias) in (
+            enumerate(legacy)
+        ):
+            assert bool(result.successes[trial]) == success
+            assert bool(result.converged[trial]) == converged
+            assert int(result.rounds[trial]) == rounds
+            assert int(result.consensus_opinions[trial]) == consensus
+            assert float(result.final_biases[trial]) == final_bias
 
     def test_every_workload_engine_pair_is_registered(self):
         pairs = set(ENGINE_REGISTRY.pairs())
         for workload in ("rumor", "plurality", "dynamics"):
             for engine in ("sequential", "batched", "counts"):
                 assert (workload, engine) in pairs
+
+
+class TestTierContracts:
+    """Per-tier guarantees the experiments rely on."""
+
+    @pytest.mark.parametrize("workload", ["rumor", "dynamics"])
+    @pytest.mark.parametrize("engine", ["sequential", "batched", "counts"])
+    def test_same_seed_reproduces_the_result(self, workload, engine):
+        scenario = (
+            protocol_scenario(workload, engine)
+            if workload == "rumor"
+            else dynamics_scenario(engine)
+        )
+        first, second = simulate(scenario), simulate(scenario)
+        for name in ("successes", "rounds", "final_biases",
+                     "final_opinion_counts"):
+            np.testing.assert_array_equal(
+                getattr(first, name), getattr(second, name)
+            )
+
+    def test_protocol_tiers_share_the_schedule(self):
+        rounds = {
+            int(value)
+            for engine in ("sequential", "batched", "counts")
+            for value in simulate(protocol_scenario("rumor", engine)).rounds
+        }
+        assert len(rounds) == 1
+
+    @pytest.mark.parametrize("engine", ["sequential", "batched", "counts"])
+    def test_noise_free_majority_reaches_the_certain_event(self, engine):
+        """Noise-free 3-majority from a 0.3 bias converges on opinion 1 in
+        every trial, on every tier."""
+        result = simulate(
+            dynamics_scenario(engine, noise=identity_matrix(3), max_rounds=200)
+        )
+        assert result.successes.all()
 
 
 class TestAutoPolicy:
@@ -155,7 +250,7 @@ class TestAutoPolicy:
         assert big.engine == "counts"
 
     def test_auto_ignores_the_runner_process_default(self):
-        """The tier is a function of the scenario: the per-trial helpers'
+        """The tier is a function of the scenario: the runner's
         process-wide threshold override must not reach simulate()."""
         scenario = Scenario(
             workload="rumor", num_nodes=3000, num_opinions=3,
