@@ -76,7 +76,6 @@ from repro.core.state import (
 )
 from repro.dynamics import (
     DYNAMICS_RULES,
-    CountsDynamicsResult,
     EnsembleCountsDynamics,
     EnsembleDynamicsResult,
     EnsembleOpinionDynamics,
@@ -134,7 +133,6 @@ except PackageNotFoundError:  # pragma: no cover - source checkout
 __all__ = [
     "BallsIntoBinsProcess",
     "CountsDeliveryModel",
-    "CountsDynamicsResult",
     "CountsProtocol",
     "CountsPullModel",
     "CountsState",

@@ -6,7 +6,8 @@ wrappers built on top of it:
 * :mod:`repro.core.state` — the population state (opinion vector, opinionated
   fraction ``a(t)``, opinion distribution ``c(t)``, bias);
 * :mod:`repro.core.schedule` — the exact phase schedules of Stage 1 and
-  Stage 2 (phase counts ``T``, ``T'`` and per-phase round counts);
+  Stage 2 (phase counts ``T``, ``T'`` and per-phase round counts) and the
+  one :class:`~repro.core.schedule.PhaseRecord` every executed phase emits;
 * :mod:`repro.core.stage1` — the Stage-1 rule (spread the rumor while
   preserving a bias toward the correct opinion);
 * :mod:`repro.core.stage2` — the Stage-2 rule (amplify the bias by repeated
@@ -23,17 +24,14 @@ from repro.core.plurality import PluralityConsensus, PluralityInstance
 from repro.core.protocol import CountsProtocol, ProtocolResult, TwoStageProtocol
 from repro.core.rumor import RumorSpreading, RumorSpreadingInstance
 from repro.core.sampling import ReservoirSampler
-from repro.core.schedule import ProtocolSchedule, Stage1Schedule, Stage2Schedule
-from repro.core.stage1 import (
-    CountsStage1Executor,
-    Stage1Executor,
-    Stage1PhaseRecord,
+from repro.core.schedule import (
+    PhaseRecord,
+    ProtocolSchedule,
+    Stage1Schedule,
+    Stage2Schedule,
 )
-from repro.core.stage2 import (
-    CountsStage2Executor,
-    Stage2Executor,
-    Stage2PhaseRecord,
-)
+from repro.core.stage1 import CountsStage1Executor, Stage1Executor
+from repro.core.stage2 import CountsStage2Executor, Stage2Executor
 from repro.core.state import CountsState, EnsembleCountsState, PopulationState
 
 __all__ = [
@@ -43,6 +41,7 @@ __all__ = [
     "CountsState",
     "EnsembleCountsState",
     "MemoryUsage",
+    "PhaseRecord",
     "PluralityConsensus",
     "PluralityInstance",
     "PopulationState",
@@ -52,10 +51,8 @@ __all__ = [
     "RumorSpreading",
     "RumorSpreadingInstance",
     "Stage1Executor",
-    "Stage1PhaseRecord",
     "Stage1Schedule",
     "Stage2Executor",
-    "Stage2PhaseRecord",
     "Stage2Schedule",
     "TwoStageProtocol",
     "memory_bound_bits",

@@ -11,29 +11,33 @@ independent trials of the same protocol as one vectorized computation over
 an ``(R, n)`` opinion matrix, which is how repeated-trial experiments get
 multi-fold speedups over a Python-level loop of :class:`TwoStageProtocol`
 runs.  :meth:`TwoStageProtocol.run_ensemble` is a convenience shortcut.
+:class:`CountsProtocol` runs the same trials on ``(R, k)`` opinion counts.
+
+Every tier records each phase of both stages as one
+:class:`~repro.core.schedule.PhaseRecord` with a leading trial axis (one row
+per sequential run).  :meth:`EnsembleResult.from_trials` stacks per-trial
+:class:`ProtocolResult` runs along that axis, so every tier's outcome reads
+the same way.  A schedule whose other stage has no phase runs one stage
+alone (the per-phase experiments E3/E4/E6/E13 do that).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.schedule import ProtocolSchedule
+from repro.core.schedule import PhaseRecord, ProtocolSchedule
 from repro.core.stage1 import (
     CountsStage1Executor,
     EnsembleStage1Executor,
-    EnsembleStage1PhaseRecord,
     Stage1Executor,
-    Stage1PhaseRecord,
 )
 from repro.core.stage2 import (
     CountsStage2Executor,
     EnsembleStage2Executor,
-    EnsembleStage2PhaseRecord,
     Stage2Executor,
-    Stage2PhaseRecord,
 )
 from repro.core.state import (
     CountsState,
@@ -81,15 +85,15 @@ class ProtocolResult:
     total_rounds:
         Total number of communication rounds executed.
     stage1_records, stage2_records:
-        Per-phase histories of the two stages.
+        Per-phase histories of the two stages (one-row records).
     """
 
     final_state: PopulationState
     target_opinion: int
     success: bool
     total_rounds: int
-    stage1_records: List[Stage1PhaseRecord] = field(default_factory=list)
-    stage2_records: List[Stage2PhaseRecord] = field(default_factory=list)
+    stage1_records: List[PhaseRecord] = field(default_factory=list)
+    stage2_records: List[PhaseRecord] = field(default_factory=list)
 
     @property
     def stage1_rounds(self) -> int:
@@ -111,25 +115,14 @@ class ProtocolResult:
         """Bias toward the target opinion at the end of Stage 1."""
         if not self.stage1_records:
             return None
-        return self.stage1_records[-1].bias
+        return float(self.stage1_records[-1].bias[0])
 
     @property
     def opinionated_after_stage1(self) -> Optional[int]:
         """Number of opinionated nodes at the end of Stage 1."""
         if not self.stage1_records:
             return None
-        return self.stage1_records[-1].opinionated_after
-
-    def bias_trajectory(self) -> np.ndarray:
-        """The per-phase bias toward the target opinion over both stages."""
-        values = []
-        for record in self.stage1_records:
-            if record.bias is not None:
-                values.append(record.bias)
-        for record in self.stage2_records:
-            if record.bias_after is not None:
-                values.append(record.bias_after)
-        return np.asarray(values, dtype=float)
+        return int(self.stage1_records[-1].opinionated_after[0])
 
     def correct_fraction(self) -> float:
         """Fraction of nodes supporting the target opinion at the end."""
@@ -335,15 +328,52 @@ class EnsembleResult:
         Communication rounds executed (identical for every trial — the
         schedule is shared and the batch never stops early).
     stage1_records, stage2_records:
-        Per-phase batched histories of the two stages.
+        Per-phase histories of the two stages, one row per trial.
     """
 
-    final_states: EnsembleState
+    final_states: Union[EnsembleState, EnsembleCountsState]
     target_opinion: int
     successes: np.ndarray
     total_rounds: int
-    stage1_records: List[EnsembleStage1PhaseRecord] = field(default_factory=list)
-    stage2_records: List[EnsembleStage2PhaseRecord] = field(default_factory=list)
+    stage1_records: List[PhaseRecord] = field(default_factory=list)
+    stage2_records: List[PhaseRecord] = field(default_factory=list)
+
+    @classmethod
+    def from_trials(cls, results: Sequence[ProtocolResult]) -> "EnsembleResult":
+        """Stack per-trial :class:`ProtocolResult` runs along the trial axis.
+
+        Trial ``r`` of the result is ``results[r]``.  The runs must share
+        the target opinion and the executed phases (a run stopped early at
+        consensus cannot be stacked with one that was not).
+        """
+        if not results:
+            raise ValueError("at least one ProtocolResult is required")
+        first = results[0]
+        if any(
+            result.target_opinion != first.target_opinion
+            or len(result.stage1_records) != len(first.stage1_records)
+            or len(result.stage2_records) != len(first.stage2_records)
+            for result in results
+        ):
+            raise ValueError(
+                "trials must share the target opinion and the executed phases"
+            )
+        return cls(
+            final_states=EnsembleState.from_states(
+                [result.final_state for result in results]
+            ),
+            target_opinion=first.target_opinion,
+            successes=np.array([result.success for result in results], dtype=bool),
+            total_rounds=first.total_rounds,
+            stage1_records=[
+                PhaseRecord.concatenate(phase)
+                for phase in zip(*(result.stage1_records for result in results))
+            ],
+            stage2_records=[
+                PhaseRecord.concatenate(phase)
+                for phase in zip(*(result.stage2_records for result in results))
+            ],
+        )
 
     @property
     def num_trials(self) -> int:
@@ -388,6 +418,18 @@ class EnsembleResult:
         if not self.stage1_records:
             return None
         return self.stage1_records[-1].opinionated_after
+
+    def bias_trajectories(self) -> Optional[np.ndarray]:
+        """The ``(R, P)`` per-phase bias toward the target over both stages
+        (``None`` when no phase recorded a bias)."""
+        columns = [
+            record.bias
+            for record in (*self.stage1_records, *self.stage2_records)
+            if record.bias is not None
+        ]
+        if not columns:
+            return None
+        return np.stack(columns, axis=1)
 
     def correct_fractions(self) -> np.ndarray:
         """Per-trial fraction of nodes supporting the target at the end."""
@@ -528,7 +570,8 @@ class EnsembleProtocol:
                     f"num_trials = {num_trials} disagrees with the ensemble's "
                     f"{initial_state.num_trials} trials"
                 )
-            ensemble = initial_state.copy()
+            # The stage executors evolve a copy, so the caller's rows stay.
+            ensemble = initial_state
         else:
             raise TypeError(
                 "initial_state must be a PopulationState or an EnsembleState, "
@@ -802,7 +845,7 @@ def _stage_executor(stage: str, parts, generators, cache):
             else generators
         )
         executor_cls = CountsStage1Executor if stage == "s1" else CountsStage2Executor
-        cached = cache[key] = (rows, executor_cls(delivery, None, randomness))
+        cached = cache[key] = (rows, executor_cls(delivery, randomness))
     return cached
 
 

@@ -18,20 +18,29 @@ rescales the constants, not the asymptotics); phase lengths are rounded up
 and floored at one round so that small populations still get a well-formed
 schedule.  The multiplicative constants default to small values suitable for
 laptop-scale simulation and can be overridden.
+
+Every executed phase of either stage, on every engine tier, is reported as
+one :class:`PhaseRecord`: the paper measures each phase in the same terms
+(the distribution ``c(tau_j)``, its bias toward ``m`` and the opinionated
+count — Lemmas 4, 6 and 7 for Stage 1, Lemma 12 for Stage 2).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence, Union
 
+import numpy as np
+
+from repro.core.state import distribution_biases
 from repro.utils.validation import require_positive, require_positive_int
 
 __all__ = [
     "Stage1Schedule",
     "Stage2Schedule",
     "ProtocolSchedule",
+    "PhaseRecord",
     "theoretical_round_complexity",
 ]
 
@@ -323,3 +332,128 @@ class ProtocolSchedule:
             round_scale=round_scale,
         )
         return cls(stage1=stage1, stage2=stage2)
+
+
+@dataclass(frozen=True)
+class PhaseRecord:
+    """What one phase of either stage did, with a leading trial axis.
+
+    The sequential executors emit one-row records; the batched and counts
+    executors one row per trial.
+
+    Attributes
+    ----------
+    phase_index:
+        Phase number within its stage (0-based; the paper's ``j``).
+    num_rounds:
+        Rounds the phase lasted.
+    sample_size:
+        Stage 2's sample size ``L``; ``None`` for a Stage-1 phase.
+    opinionated_before, opinionated_after:
+        ``(R,)`` opinionated-node counts at the start and end of the phase.
+    updated_nodes:
+        ``(R,)`` nodes that acted at the end of the phase: Stage 1's
+        adopters (the paper's ``|S_j|``), Stage 2's re-voters (nodes that
+        received at least ``L`` messages).
+    opinion_distributions:
+        ``(R, k)`` matrix ``c(tau_j)``: per-opinion fraction of all nodes
+        after the phase.
+    bias:
+        ``(R,)`` bias of ``c(tau_j)`` toward the tracked opinion ``m``
+        after the phase; ``None`` when no opinion is tracked.
+    messages_sent:
+        ``(R,)`` messages pushed during the phase.
+    """
+
+    phase_index: int
+    num_rounds: int
+    sample_size: Optional[int]
+    opinionated_before: np.ndarray
+    opinionated_after: np.ndarray
+    updated_nodes: np.ndarray
+    opinion_distributions: np.ndarray
+    bias: Optional[np.ndarray]
+    messages_sent: np.ndarray
+
+    @classmethod
+    def after_phase(
+        cls,
+        phase_index: int,
+        num_rounds: int,
+        sample_size: Optional[int],
+        *,
+        counts: np.ndarray,
+        num_nodes: Union[int, np.ndarray],
+        opinionated_before: Union[int, np.ndarray],
+        updated_nodes: Union[int, np.ndarray],
+        messages_sent: Union[int, np.ndarray],
+        track_opinion: Optional[int],
+    ) -> "PhaseRecord":
+        """The record of a phase that left ``counts`` opinion supporters.
+
+        ``counts`` is the ``(R, k)`` (or, for one trial, ``(k,)``) opinion
+        count matrix after the phase; the per-trial scalars may be plain
+        numbers for one trial.  Distribution, bias and opinionated count
+        all derive from ``counts``, so no tier rescans its nodes for them.
+        """
+        counts = np.atleast_2d(counts)
+        distributions = counts / num_nodes
+        bias = None
+        if track_opinion is not None:
+            if not 1 <= track_opinion <= counts.shape[1]:
+                raise ValueError(
+                    f"opinion must be in [1, {counts.shape[1]}], "
+                    f"got {track_opinion}"
+                )
+            bias = distribution_biases(distributions, track_opinion)
+        return cls(
+            phase_index=phase_index,
+            num_rounds=num_rounds,
+            sample_size=sample_size,
+            opinionated_before=_trial_column(opinionated_before),
+            opinionated_after=counts.sum(axis=1, dtype=np.int64),
+            updated_nodes=_trial_column(updated_nodes),
+            opinion_distributions=distributions,
+            bias=bias,
+            messages_sent=_trial_column(messages_sent),
+        )
+
+    @classmethod
+    def concatenate(cls, records: Sequence["PhaseRecord"]) -> "PhaseRecord":
+        """One phase's records of several trial batches, stacked in order."""
+        first = records[0]
+        phase = (first.phase_index, first.num_rounds, first.sample_size)
+        if any(
+            (record.phase_index, record.num_rounds, record.sample_size) != phase
+            for record in records
+        ):
+            raise ValueError("records of different phases cannot be stacked")
+        biases = [record.bias for record in records]
+        return cls(
+            *phase,
+            opinionated_before=np.concatenate(
+                [record.opinionated_before for record in records]
+            ),
+            opinionated_after=np.concatenate(
+                [record.opinionated_after for record in records]
+            ),
+            updated_nodes=np.concatenate(
+                [record.updated_nodes for record in records]
+            ),
+            opinion_distributions=np.concatenate(
+                [record.opinion_distributions for record in records]
+            ),
+            bias=(
+                None
+                if any(bias is None for bias in biases)
+                else np.concatenate(biases)
+            ),
+            messages_sent=np.concatenate(
+                [record.messages_sent for record in records]
+            ),
+        )
+
+
+def _trial_column(values: Union[int, np.ndarray]) -> np.ndarray:
+    """Per-trial counts as an int64 ``(R,)`` array (a scalar is one trial)."""
+    return np.atleast_1d(np.asarray(values, dtype=np.int64))

@@ -14,22 +14,23 @@ Rule of Stage 1 (paper, Section 3.1.1).  During each phase:
 Lemma 4 states that after Stage 1 all nodes are opinionated w.h.p. and the
 opinion distribution is ``Omega(sqrt(log n / n))``-biased toward the correct
 opinion; experiments E3 and E4 verify this and the per-phase growth claims.
+
+Three executors run the rule, one per engine tier: :class:`Stage1Executor`
+on one population, :class:`EnsembleStage1Executor` on an ``(R, n)`` batch
+and :class:`CountsStage1Executor` on ``(A, k)`` counts.  Each phase is
+reported as one :class:`~repro.core.schedule.PhaseRecord` (one row for the
+sequential executor, one row per trial otherwise), with the phase's adopters
+``|S_j|`` as ``updated_nodes`` and ``sample_size=None``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.schedule import Stage1Schedule
-from repro.core.state import (
-    EnsembleCountsState,
-    EnsembleState,
-    PopulationState,
-    distribution_biases,
-)
+from repro.core.schedule import PhaseRecord, Stage1Schedule
+from repro.core.state import EnsembleState, PopulationState
 from repro.network.balls_bins import CountsDeliveryModel
 from repro.network.delivery import (
     deliver_ensemble_phase,
@@ -46,45 +47,9 @@ from repro.utils.rng import (
 
 __all__ = [
     "Stage1Executor",
-    "Stage1PhaseRecord",
     "EnsembleStage1Executor",
-    "EnsembleStage1PhaseRecord",
     "CountsStage1Executor",
 ]
-
-
-@dataclass(frozen=True)
-class Stage1PhaseRecord:
-    """State snapshot at the end of one Stage-1 phase.
-
-    Attributes
-    ----------
-    phase_index:
-        Phase number (0-based; the paper's phase ``j``).
-    num_rounds:
-        Number of rounds the phase lasted.
-    opinionated_before, opinionated_after:
-        Number of opinionated nodes at the beginning and end of the phase.
-    newly_opinionated:
-        Number of undecided nodes that adopted an opinion at the end of the
-        phase (the paper's ``|S_j|``).
-    opinion_distribution:
-        ``c(tau_j)`` — per-opinion fraction of all nodes after the phase.
-    bias:
-        Bias of ``c(tau_j)`` toward the tracked opinion ``m`` (``None`` when
-        no opinion is tracked).
-    messages_sent:
-        Total messages pushed during the phase.
-    """
-
-    phase_index: int
-    num_rounds: int
-    opinionated_before: int
-    opinionated_after: int
-    newly_opinionated: int
-    opinion_distribution: np.ndarray
-    bias: Optional[float]
-    messages_sent: int
 
 
 class Stage1Executor:
@@ -128,7 +93,7 @@ class Stage1Executor:
         state: PopulationState,
         *,
         track_opinion: Optional[int] = None,
-    ) -> Tuple[PopulationState, List[Stage1PhaseRecord]]:
+    ) -> Tuple[PopulationState, List[PhaseRecord]]:
         """Execute every Stage-1 phase, returning the final state and history.
 
         Parameters
@@ -142,14 +107,14 @@ class Stage1Executor:
         Returns
         -------
         (final_state, records):
-            The population state after the last phase and one
-            :class:`Stage1PhaseRecord` per phase.
+            The population state after the last phase and one one-row
+            :class:`~repro.core.schedule.PhaseRecord` per phase.
         """
         current = state.copy()
         if track_opinion is None:
             plurality = current.plurality_opinion()
             track_opinion = plurality if plurality > 0 else None
-        records: List[Stage1PhaseRecord] = []
+        records: List[PhaseRecord] = []
         for phase_index, num_rounds in enumerate(self.schedule.phase_lengths):
             record = self.run_phase(
                 current, phase_index, num_rounds, track_opinion=track_opinion
@@ -164,9 +129,10 @@ class Stage1Executor:
         num_rounds: int,
         *,
         track_opinion: Optional[int] = None,
-    ) -> Stage1PhaseRecord:
+    ) -> PhaseRecord:
         """Execute a single Stage-1 phase, mutating ``state`` in place."""
         opinionated_before = state.opinionated_count()
+        updated_nodes = messages_sent = 0
         if opinionated_before > 0:
             received = deliver_phase(self.engine, state.opinions, num_rounds)
             # Only undecided nodes act on what they received; each adopts one
@@ -175,42 +141,19 @@ class Stage1Executor:
             undecided = ~state.opinionated_mask()
             adopters = undecided & (adopted > 0)
             state.opinions[adopters] = adopted[adopters]
-            newly_opinionated = int(np.count_nonzero(adopters))
+            updated_nodes = np.count_nonzero(adopters)
             messages_sent = received.total_messages()
-        else:
-            newly_opinionated = 0
-            messages_sent = 0
-        bias = (
-            state.bias_toward(track_opinion) if track_opinion is not None else None
-        )
-        return Stage1PhaseRecord(
-            phase_index=phase_index,
-            num_rounds=num_rounds,
+        return PhaseRecord.after_phase(
+            phase_index,
+            num_rounds,
+            None,
+            counts=state.opinion_counts(),
+            num_nodes=state.num_nodes,
             opinionated_before=opinionated_before,
-            opinionated_after=state.opinionated_count(),
-            newly_opinionated=newly_opinionated,
-            opinion_distribution=state.opinion_distribution(),
-            bias=bias,
+            updated_nodes=updated_nodes,
             messages_sent=messages_sent,
+            track_opinion=track_opinion,
         )
-
-
-@dataclass(frozen=True)
-class EnsembleStage1PhaseRecord:
-    """Per-trial state snapshots at the end of one batched Stage-1 phase.
-
-    The fields mirror :class:`Stage1PhaseRecord` with a leading trial axis:
-    scalars become ``(R,)`` arrays and the distribution becomes ``(R, k)``.
-    """
-
-    phase_index: int
-    num_rounds: int
-    opinionated_before: np.ndarray
-    opinionated_after: np.ndarray
-    newly_opinionated: np.ndarray
-    opinion_distributions: np.ndarray
-    bias: Optional[np.ndarray]
-    messages_sent: np.ndarray
 
 
 class EnsembleStage1Executor:
@@ -255,7 +198,7 @@ class EnsembleStage1Executor:
         state: EnsembleState,
         *,
         track_opinion: Optional[int] = None,
-    ) -> Tuple[EnsembleState, List[EnsembleStage1PhaseRecord]]:
+    ) -> Tuple[EnsembleState, List[PhaseRecord]]:
         """Execute every Stage-1 phase on a copy of ``state``.
 
         ``track_opinion`` defaults to the plurality opinion of the pooled
@@ -266,7 +209,7 @@ class EnsembleStage1Executor:
         if track_opinion is None:
             pooled = current.pooled_plurality_opinion()
             track_opinion = pooled if pooled > 0 else None
-        records: List[EnsembleStage1PhaseRecord] = []
+        records: List[PhaseRecord] = []
         for phase_index, num_rounds in enumerate(self.schedule.phase_lengths):
             record = self.run_phase(
                 current, phase_index, num_rounds, track_opinion=track_opinion
@@ -281,7 +224,7 @@ class EnsembleStage1Executor:
         num_rounds: int,
         *,
         track_opinion: Optional[int] = None,
-    ) -> EnsembleStage1PhaseRecord:
+    ) -> PhaseRecord:
         """Execute a single batched Stage-1 phase, mutating ``state`` in place."""
         opinionated_before = state.opinionated_counts()
         received = deliver_ensemble_phase(
@@ -293,18 +236,16 @@ class EnsembleStage1Executor:
         undecided = ~state.opinionated_mask()
         adopters = undecided & (adopted > 0)
         state.opinions[adopters] = adopted[adopters]
-        bias = (
-            state.bias_toward(track_opinion) if track_opinion is not None else None
-        )
-        return EnsembleStage1PhaseRecord(
-            phase_index=phase_index,
-            num_rounds=num_rounds,
+        return PhaseRecord.after_phase(
+            phase_index,
+            num_rounds,
+            None,
+            counts=state.opinion_counts(),
+            num_nodes=state.num_nodes,
             opinionated_before=opinionated_before,
-            opinionated_after=state.opinionated_counts(),
-            newly_opinionated=np.count_nonzero(adopters, axis=1).astype(np.int64),
-            opinion_distributions=state.opinion_distributions(),
-            bias=bias,
+            updated_nodes=np.count_nonzero(adopters, axis=1),
             messages_sent=received.total_messages(),
+            track_opinion=track_opinion,
         )
 
 
@@ -324,16 +265,13 @@ class CountsStage1Executor:
 
     :meth:`run_phase` advances every block of the delivery model through
     one phase at once (a fused sweep's grid points, or the single block of
-    one run); :meth:`run` drives a one-block model through a whole Stage-1
-    schedule.
+    one run); :func:`~repro.core.protocol.run_heterogeneous_counts_protocol`
+    drives it through whole schedules.
 
     Parameters
     ----------
     delivery:
         A :class:`~repro.network.balls_bins.CountsDeliveryModel`.
-    schedule:
-        The Stage-1 phase schedule :meth:`run` follows (``None`` when only
-        :meth:`run_phase` is used).
     random_state:
         One shared randomness source, or a sequence with one source per
         row (row ``r`` then consumes draws from its own source only).
@@ -342,7 +280,6 @@ class CountsStage1Executor:
     def __init__(
         self,
         delivery: CountsDeliveryModel,
-        schedule: Optional[Stage1Schedule] = None,
         random_state: EnsembleRandomState = None,
     ) -> None:
         if not isinstance(delivery, CountsDeliveryModel):
@@ -351,33 +288,14 @@ class CountsStage1Executor:
                 f"{type(delivery).__name__}"
             )
         self.delivery = delivery
-        self.schedule = schedule
         self._random_state = normalize_ensemble_random_state(random_state)
-
-    def run(
-        self,
-        state: EnsembleCountsState,
-        *,
-        track_opinion: Optional[int] = None,
-    ) -> Tuple[EnsembleCountsState, List[EnsembleStage1PhaseRecord]]:
-        """Execute every Stage-1 phase on a copy of ``state``."""
-        current = state.copy()
-        if track_opinion is None:
-            pooled = current.pooled_plurality_opinion()
-            track_opinion = pooled if pooled > 0 else None
-        records: List[EnsembleStage1PhaseRecord] = []
-        for phase_index, num_rounds in enumerate(self.schedule.phase_lengths):
-            records += self.run_phase(
-                current.counts, [(phase_index, num_rounds)], [track_opinion]
-            )
-        return current, records
 
     def run_phase(
         self,
         counts: np.ndarray,
         phases: Sequence[Tuple[int, int]],
         track_opinions: Sequence[Optional[int]],
-    ) -> List[EnsembleStage1PhaseRecord]:
+    ) -> List[PhaseRecord]:
         """One Stage-1 phase for every block, updating ``counts`` in place.
 
         ``counts`` is the ``(A, k)`` matrix of the model's rows;
@@ -394,26 +312,18 @@ class CountsStage1Executor:
         undecided = delivery.num_nodes - counts.sum(axis=1, dtype=np.int64)
         adopted = delivery.sample_adoptions(noisy, undecided, randomness)
         new_counts = counts + adopted[:, 1:]
-        records = []
-        for block, sl in enumerate(delivery.block_slices):
-            phase_index, num_rounds = phases[block]
-            target = track_opinions[block]
-            distributions = new_counts[sl] / delivery.block_num_nodes[block]
-            records.append(
-                EnsembleStage1PhaseRecord(
-                    phase_index=phase_index,
-                    num_rounds=num_rounds,
-                    opinionated_before=counts[sl].sum(axis=1, dtype=np.int64),
-                    opinionated_after=new_counts[sl].sum(axis=1, dtype=np.int64),
-                    newly_opinionated=adopted[sl, 1:].sum(axis=1, dtype=np.int64),
-                    opinion_distributions=distributions,
-                    bias=(
-                        None
-                        if target is None
-                        else distribution_biases(distributions, target)
-                    ),
-                    messages_sent=histograms[sl].sum(axis=1, dtype=np.int64),
-                )
+        records = [
+            PhaseRecord.after_phase(
+                *phases[block],
+                None,
+                counts=new_counts[sl],
+                num_nodes=delivery.block_num_nodes[block],
+                opinionated_before=counts[sl].sum(axis=1, dtype=np.int64),
+                updated_nodes=adopted[sl, 1:].sum(axis=1, dtype=np.int64),
+                messages_sent=histograms[sl].sum(axis=1, dtype=np.int64),
+                track_opinion=track_opinions[block],
             )
+            for block, sl in enumerate(delivery.block_slices)
+        ]
         counts[...] = new_counts
         return records

@@ -13,22 +13,25 @@ Proposition 1 shows each such phase multiplies the bias toward the plurality
 opinion by a constant factor > 1 (w.h.p.), so after ``T' + 1 = O(log n)``
 phases every node supports the plurality opinion (Lemma 12).  Experiments E5
 and E6 verify the per-phase amplification and the full trajectory.
+
+Three executors run the rule, one per engine tier: :class:`Stage2Executor`
+on one population, :class:`EnsembleStage2Executor` on an ``(R, n)`` batch
+and :class:`CountsStage2Executor` on ``(A, k)`` counts.  Each phase is
+reported as one :class:`~repro.core.schedule.PhaseRecord` (one row for the
+sequential executor, one row per trial otherwise), with the phase's
+re-voters as ``updated_nodes`` and ``L`` as ``sample_size``.  The bias
+before a phase is the previous record's ``bias``; consensus at the end of
+the run is the protocol result's ``successes``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.schedule import Stage2Schedule
-from repro.core.state import (
-    EnsembleCountsState,
-    EnsembleState,
-    PopulationState,
-    distribution_biases,
-)
+from repro.core.schedule import PhaseRecord, Stage2Schedule
+from repro.core.state import EnsembleState, PopulationState
 from repro.network.balls_bins import CountsDeliveryModel
 from repro.network.delivery import (
     deliver_ensemble_phase,
@@ -45,45 +48,9 @@ from repro.utils.rng import (
 
 __all__ = [
     "Stage2Executor",
-    "Stage2PhaseRecord",
     "EnsembleStage2Executor",
-    "EnsembleStage2PhaseRecord",
     "CountsStage2Executor",
 ]
-
-
-@dataclass(frozen=True)
-class Stage2PhaseRecord:
-    """State snapshot at the end of one Stage-2 phase.
-
-    Attributes
-    ----------
-    phase_index:
-        Phase number (0-based).
-    num_rounds:
-        Number of rounds (``2L``).
-    sample_size:
-        The sample size ``L`` used by the majority rule this phase.
-    updated_nodes:
-        Number of nodes that received at least ``L`` messages and therefore
-        re-voted at the end of the phase.
-    opinion_distribution:
-        ``c(tau_j)`` after the phase.
-    bias_before, bias_after:
-        Bias toward the tracked opinion before and after the phase (``None``
-        when no opinion is tracked).
-    messages_sent:
-        Total messages pushed during the phase.
-    """
-
-    phase_index: int
-    num_rounds: int
-    sample_size: int
-    updated_nodes: int
-    opinion_distribution: np.ndarray
-    bias_before: Optional[float]
-    bias_after: Optional[float]
-    messages_sent: int
 
 
 class Stage2Executor:
@@ -142,7 +109,7 @@ class Stage2Executor:
         *,
         track_opinion: Optional[int] = None,
         stop_at_consensus: bool = False,
-    ) -> Tuple[PopulationState, List[Stage2PhaseRecord]]:
+    ) -> Tuple[PopulationState, List[PhaseRecord]]:
         """Execute every Stage-2 phase, returning the final state and history.
 
         Parameters
@@ -161,7 +128,7 @@ class Stage2Executor:
         if track_opinion is None:
             plurality = current.plurality_opinion()
             track_opinion = plurality if plurality > 0 else None
-        records: List[Stage2PhaseRecord] = []
+        records: List[PhaseRecord] = []
         for phase_index, (num_rounds, sample_size) in enumerate(
             zip(self.schedule.phase_lengths, self.schedule.sample_sizes)
         ):
@@ -189,14 +156,11 @@ class Stage2Executor:
         sample_size: int,
         *,
         track_opinion: Optional[int] = None,
-    ) -> Stage2PhaseRecord:
+    ) -> PhaseRecord:
         """Execute a single Stage-2 phase, mutating ``state`` in place."""
-        bias_before = (
-            state.bias_toward(track_opinion) if track_opinion is not None else None
-        )
-        updated_nodes = 0
-        messages_sent = 0
-        if state.opinionated_count() > 0:
+        opinionated_before = state.opinionated_count()
+        updated_nodes = messages_sent = 0
+        if opinionated_before > 0:
             received = deliver_phase(self.engine, state.opinions, num_rounds)
             messages_sent = received.total_messages()
             votes = received.majority_votes(
@@ -206,42 +170,18 @@ class Stage2Executor:
             )
             updaters = votes > 0
             state.opinions[updaters] = votes[updaters]
-            updated_nodes = int(np.count_nonzero(updaters))
-        bias_after = (
-            state.bias_toward(track_opinion) if track_opinion is not None else None
-        )
-        return Stage2PhaseRecord(
-            phase_index=phase_index,
-            num_rounds=num_rounds,
-            sample_size=sample_size,
+            updated_nodes = np.count_nonzero(updaters)
+        return PhaseRecord.after_phase(
+            phase_index,
+            num_rounds,
+            sample_size,
+            counts=state.opinion_counts(),
+            num_nodes=state.num_nodes,
+            opinionated_before=opinionated_before,
             updated_nodes=updated_nodes,
-            opinion_distribution=state.opinion_distribution(),
-            bias_before=bias_before,
-            bias_after=bias_after,
             messages_sent=messages_sent,
+            track_opinion=track_opinion,
         )
-
-
-@dataclass(frozen=True)
-class EnsembleStage2PhaseRecord:
-    """Per-trial state snapshots at the end of one batched Stage-2 phase.
-
-    The fields mirror :class:`Stage2PhaseRecord` with a leading trial axis;
-    ``consensus_after`` additionally records which trials sit at full
-    consensus on the tracked opinion after the phase (all ``False`` when no
-    opinion is tracked), so callers can reconstruct per-trial
-    rounds-to-consensus without freezing the batch.
-    """
-
-    phase_index: int
-    num_rounds: int
-    sample_size: int
-    updated_nodes: np.ndarray
-    opinion_distributions: np.ndarray
-    bias_before: Optional[np.ndarray]
-    bias_after: Optional[np.ndarray]
-    messages_sent: np.ndarray
-    consensus_after: np.ndarray
 
 
 class EnsembleStage2Executor:
@@ -252,8 +192,7 @@ class EnsembleStage2Executor:
     trial's messages at once and applies the sample-majority rule to the
     whole ``(R, n)`` batch.  Unlike the sequential executor there is no
     per-trial early stopping — the batch always runs the full schedule (the
-    default behaviour of the sequential executor too) and records per-phase
-    consensus masks instead.
+    default behaviour of the sequential executor too).
 
     Parameters
     ----------
@@ -297,13 +236,13 @@ class EnsembleStage2Executor:
         state: EnsembleState,
         *,
         track_opinion: Optional[int] = None,
-    ) -> Tuple[EnsembleState, List[EnsembleStage2PhaseRecord]]:
+    ) -> Tuple[EnsembleState, List[PhaseRecord]]:
         """Execute every Stage-2 phase on a copy of ``state``."""
         current = state.copy()
         if track_opinion is None:
             pooled = current.pooled_plurality_opinion()
             track_opinion = pooled if pooled > 0 else None
-        records: List[EnsembleStage2PhaseRecord] = []
+        records: List[PhaseRecord] = []
         for phase_index, (num_rounds, sample_size) in enumerate(
             zip(self.schedule.phase_lengths, self.schedule.sample_sizes)
         ):
@@ -325,11 +264,9 @@ class EnsembleStage2Executor:
         sample_size: int,
         *,
         track_opinion: Optional[int] = None,
-    ) -> EnsembleStage2PhaseRecord:
+    ) -> PhaseRecord:
         """Execute a single batched Stage-2 phase, mutating ``state`` in place."""
-        bias_before = (
-            state.bias_toward(track_opinion) if track_opinion is not None else None
-        )
+        opinionated_before = state.opinionated_counts()
         received = deliver_ensemble_phase(
             self.engine, state.opinions, num_rounds, self._random_state
         )
@@ -340,24 +277,16 @@ class EnsembleStage2Executor:
         )
         updaters = votes > 0
         state.opinions[updaters] = votes[updaters]
-        bias_after = (
-            state.bias_toward(track_opinion) if track_opinion is not None else None
-        )
-        consensus_after = (
-            state.consensus_mask(track_opinion)
-            if track_opinion is not None
-            else np.zeros(state.num_trials, dtype=bool)
-        )
-        return EnsembleStage2PhaseRecord(
-            phase_index=phase_index,
-            num_rounds=num_rounds,
-            sample_size=sample_size,
-            updated_nodes=np.count_nonzero(updaters, axis=1).astype(np.int64),
-            opinion_distributions=state.opinion_distributions(),
-            bias_before=bias_before,
-            bias_after=bias_after,
+        return PhaseRecord.after_phase(
+            phase_index,
+            num_rounds,
+            sample_size,
+            counts=state.opinion_counts(),
+            num_nodes=state.num_nodes,
+            opinionated_before=opinionated_before,
+            updated_nodes=np.count_nonzero(updaters, axis=1),
             messages_sent=received.total_messages(),
-            consensus_after=consensus_after,
+            track_opinion=track_opinion,
         )
 
 
@@ -380,92 +309,46 @@ class CountsStage2Executor:
       :meth:`~repro.network.balls_bins.CountsDeliveryModel.sample_vote_counts`).
 
     :meth:`run_phase` advances every block of the delivery model through
-    one phase at once; :meth:`run` drives a one-block model through a whole
-    Stage-2 schedule.  The executor supports only the faithful Stage-2
-    rule: the sampling ablations (``with_replacement``,
-    ``use_full_multiset``) condition on per-node arrival totals and are
-    served by the sequential and batched engines.
+    one phase at once; :func:`~repro.core.protocol.
+    run_heterogeneous_counts_protocol` drives it through whole schedules.
+    The executor implements only the faithful Stage-2 rule: the sampling
+    ablations (``with_replacement``, ``use_full_multiset``) condition on
+    per-node arrival totals and are served by the sequential and batched
+    engines.
 
     Parameters
     ----------
     delivery:
         A :class:`~repro.network.balls_bins.CountsDeliveryModel`.
-    schedule:
-        The Stage-2 phase schedule :meth:`run` follows (``None`` when only
-        :meth:`run_phase` is used).
     random_state:
         One shared randomness source, or a sequence with one per row.
-    sampling_method, use_full_multiset:
-        Accepted for interface parity; anything but the defaults raises
-        ``ValueError``.
     """
 
     def __init__(
         self,
         delivery: CountsDeliveryModel,
-        schedule: Optional[Stage2Schedule] = None,
         random_state: EnsembleRandomState = None,
-        *,
-        sampling_method: str = "without_replacement",
-        use_full_multiset: bool = False,
     ) -> None:
         if not isinstance(delivery, CountsDeliveryModel):
             raise TypeError(
                 "delivery must be a CountsDeliveryModel, got "
                 f"{type(delivery).__name__}"
             )
-        if sampling_method != "without_replacement":
-            raise ValueError(
-                "the counts engine implements only the faithful "
-                "'without_replacement' Stage-2 sampling; use the batched or "
-                f"sequential engine for {sampling_method!r}"
-            )
-        if use_full_multiset:
-            raise ValueError(
-                "the counts engine implements only the size-L sample rule; "
-                "use the batched or sequential engine for use_full_multiset"
-            )
         self.delivery = delivery
-        self.schedule = schedule
-        self.sampling_method = sampling_method
-        self.use_full_multiset = use_full_multiset
         self._random_state = normalize_ensemble_random_state(random_state)
-
-    def run(
-        self,
-        state: EnsembleCountsState,
-        *,
-        track_opinion: Optional[int] = None,
-    ) -> Tuple[EnsembleCountsState, List[EnsembleStage2PhaseRecord]]:
-        """Execute every Stage-2 phase on a copy of ``state``."""
-        current = state.copy()
-        if track_opinion is None:
-            pooled = current.pooled_plurality_opinion()
-            track_opinion = pooled if pooled > 0 else None
-        records: List[EnsembleStage2PhaseRecord] = []
-        for phase_index, (num_rounds, sample_size) in enumerate(
-            zip(self.schedule.phase_lengths, self.schedule.sample_sizes)
-        ):
-            records += self.run_phase(
-                current.counts,
-                [(phase_index, num_rounds, sample_size)],
-                [track_opinion],
-            )
-        return current, records
 
     def run_phase(
         self,
         counts: np.ndarray,
         phases: Sequence[Tuple[int, int, int]],
         track_opinions: Sequence[Optional[int]],
-    ) -> List[EnsembleStage2PhaseRecord]:
+    ) -> List[PhaseRecord]:
         """One Stage-2 phase for every block, updating ``counts`` in place.
 
         ``counts`` is the ``(A, k)`` matrix of the model's rows;
         ``phases[b]`` is block ``b``'s ``(phase_index, num_rounds,
-        sample_size)`` and ``track_opinions[b]`` the opinion whose bias and
-        consensus its record carries (``None``: no bias, no consensus).
-        Returns one record per block.
+        sample_size)`` and ``track_opinions[b]`` the opinion whose bias its
+        record carries (``None``: no bias).  Returns one record per block.
         """
         delivery = self.delivery
         randomness = self._random_state
@@ -487,31 +370,17 @@ class CountsStage2Executor:
             randomness,
         )
         new_counts = counts + votes - updaters[:, 1:]
-        records = []
-        for block, sl in enumerate(delivery.block_slices):
-            phase_index, num_rounds, sample_size = phases[block]
-            target = track_opinions[block]
-            num_nodes = delivery.block_num_nodes[block]
-            distributions = new_counts[sl] / num_nodes
-            if target is None:
-                bias_before = bias_after = None
-                consensus_after = np.zeros(sl.stop - sl.start, dtype=bool)
-            else:
-                bias_before = distribution_biases(counts[sl] / num_nodes, target)
-                bias_after = distribution_biases(distributions, target)
-                consensus_after = new_counts[sl, target - 1] == num_nodes
-            records.append(
-                EnsembleStage2PhaseRecord(
-                    phase_index=phase_index,
-                    num_rounds=num_rounds,
-                    sample_size=sample_size,
-                    updated_nodes=updaters[sl].sum(axis=1, dtype=np.int64),
-                    opinion_distributions=distributions,
-                    bias_before=bias_before,
-                    bias_after=bias_after,
-                    messages_sent=histograms[sl].sum(axis=1, dtype=np.int64),
-                    consensus_after=consensus_after,
-                )
+        records = [
+            PhaseRecord.after_phase(
+                *phases[block],
+                counts=new_counts[sl],
+                num_nodes=delivery.block_num_nodes[block],
+                opinionated_before=counts[sl].sum(axis=1, dtype=np.int64),
+                updated_nodes=updaters[sl].sum(axis=1, dtype=np.int64),
+                messages_sent=histograms[sl].sum(axis=1, dtype=np.int64),
+                track_opinion=track_opinions[block],
             )
+            for block, sl in enumerate(delivery.block_slices)
+        ]
         counts[...] = new_counts
         return records

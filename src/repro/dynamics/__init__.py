@@ -46,7 +46,6 @@ from repro.dynamics.approximate_consensus import (
     EnsembleCountsApproximateConsensusDynamics,
 )
 from repro.dynamics.base import (
-    CountsDynamicsResult,
     DynamicsResult,
     EnsembleCountsDynamics,
     EnsembleDynamicsResult,
@@ -80,7 +79,6 @@ from repro.dynamics.voter import (
 __all__ = [
     "DYNAMICS_RULES",
     "ApproximateConsensusDynamics",
-    "CountsDynamicsResult",
     "DynamicsResult",
     "EnsembleApproximateConsensusDynamics",
     "EnsembleCountsApproximateConsensusDynamics",

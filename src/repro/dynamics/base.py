@@ -59,7 +59,6 @@ __all__ = [
     "EnsembleOpinionDynamics",
     "EnsembleDynamicsResult",
     "EnsembleCountsDynamics",
-    "CountsDynamicsResult",
     "CountsDynamicsTask",
     "run_heterogeneous_counts_dynamics",
 ]
@@ -216,12 +215,15 @@ class OpinionDynamics(ABC):
 
 @dataclass
 class EnsembleDynamicsResult:
-    """Outcome of a batched multi-trial dynamics run.
+    """Outcome of a batched or counts multi-trial dynamics run.
 
     Attributes
     ----------
     final_states:
-        The ensemble state when every trial had stopped (one row per trial).
+        The ensemble state when every trial had stopped (one row per trial):
+        an :class:`~repro.core.state.EnsembleState` from the batched tier,
+        an :class:`~repro.core.state.EnsembleCountsState` (``(R, k)``
+        sufficient statistics) from the counts tier.
     rounds_executed:
         Integer ``(R,)`` array: rounds trial ``r`` executed before it
         converged (or hit ``max_rounds``).
@@ -242,7 +244,7 @@ class EnsembleDynamicsResult:
         would record.  Empty (``T = 0``) when history recording is off.
     """
 
-    final_states: EnsembleState
+    final_states: Union[EnsembleState, EnsembleCountsState]
     rounds_executed: np.ndarray
     converged: np.ndarray
     consensus_opinions: np.ndarray
@@ -523,63 +525,6 @@ class EnsembleOpinionDynamics(ABC):
         )
 
 
-@dataclass
-class CountsDynamicsResult:
-    """Outcome of a multi-trial counts-engine dynamics run.
-
-    The counts-engine counterpart of :class:`EnsembleDynamicsResult`: the
-    same per-trial verdicts and histories, but the final state is an
-    :class:`~repro.core.state.EnsembleCountsState` (``(R, k)`` sufficient
-    statistics) because the engine never materializes per-node opinions.
-    """
-
-    final_states: EnsembleCountsState
-    rounds_executed: np.ndarray
-    converged: np.ndarray
-    consensus_opinions: np.ndarray
-    target_opinion: int
-    successes: np.ndarray
-    bias_history: np.ndarray
-
-    @property
-    def num_trials(self) -> int:
-        """Number of trials ``R`` in the batch."""
-        return self.final_states.num_trials
-
-    @property
-    def success_count(self) -> int:
-        """Number of trials that reached consensus on the target opinion."""
-        return int(np.count_nonzero(self.successes))
-
-    @property
-    def success_rate(self) -> float:
-        """Empirical success probability over the batch."""
-        return self.success_count / self.num_trials
-
-    @property
-    def convergence_rate(self) -> float:
-        """Fraction of trials that reached consensus on *some* opinion."""
-        return int(np.count_nonzero(self.converged)) / self.num_trials
-
-    @property
-    def final_biases(self) -> np.ndarray:
-        """Per-trial bias of the final distribution toward the target."""
-        if self.target_opinion <= 0:
-            return np.zeros(self.num_trials, dtype=float)
-        return self.final_states.bias_toward(self.target_opinion)
-
-    def summary(self) -> dict:
-        """Headline statistics of the batch."""
-        return {
-            "num_trials": self.num_trials,
-            "target_opinion": self.target_opinion,
-            "success_rate": self.success_rate,
-            "convergence_rate": self.convergence_rate,
-            "mean_rounds": float(self.rounds_executed.mean()),
-            "mean_final_bias": float(self.final_biases.mean()),
-        }
-
-
 # reprolint: counts-tier
 class EnsembleCountsDynamics(ABC):
     """Run ``R`` independent trials of a dynamic on sufficient statistics.
@@ -736,8 +681,8 @@ class EnsembleCountsDynamics(ABC):
         run.rounds_done += 1
         return run.rounds_done < run.max_rounds and run.active.size > 0
 
-    def _finish(self, run: "_CountsRunState") -> CountsDynamicsResult:
-        """Assemble the :class:`CountsDynamicsResult` of a completed loop."""
+    def _finish(self, run: "_CountsRunState") -> EnsembleDynamicsResult:
+        """Assemble the :class:`EnsembleDynamicsResult` of a completed loop."""
         counts = run.ensemble.counts
         converged = counts.max(axis=1) == self.num_nodes
         consensus_opinions = np.where(
@@ -748,7 +693,7 @@ class EnsembleCountsDynamics(ABC):
             if run.bias_rows
             else np.zeros((0, run.ensemble.num_trials), dtype=float)
         )
-        return CountsDynamicsResult(
+        return EnsembleDynamicsResult(
             final_states=run.ensemble,
             rounds_executed=run.rounds_executed,
             converged=converged,
@@ -769,7 +714,7 @@ class EnsembleCountsDynamics(ABC):
         target_opinion: Optional[int] = None,
         stop_at_consensus: bool = True,
         record_history: bool = True,
-    ) -> CountsDynamicsResult:
+    ) -> EnsembleDynamicsResult:
         """Run every trial for up to ``max_rounds`` rounds.
 
         The counts-engine mirror of :meth:`EnsembleOpinionDynamics.run`
@@ -1043,7 +988,7 @@ def _run_merged_counts_group(
 # reprolint: counts-tier
 def run_heterogeneous_counts_dynamics(
     tasks: List[CountsDynamicsTask],
-) -> List[CountsDynamicsResult]:
+) -> List[EnsembleDynamicsResult]:
     """Run many counts-dynamics grid points in one shared round loop.
 
     The sweep engine's dynamics executor.  Points whose dynamics are stock
@@ -1054,7 +999,7 @@ def run_heterogeneous_counts_dynamics(
     :func:`_run_merged_counts_group`).  Anything else (custom subclasses,
     shared-generator randomness) falls back to round-robin interleaving of
     the factored ``_begin`` / ``_advance`` / ``_finish`` loop.  Either
-    way every point's :class:`CountsDynamicsResult` is **bitwise
+    way every point's :class:`EnsembleDynamicsResult` is **bitwise
     identical** to ``task.dynamics.run(...)`` with the same arguments.
     """
     states = [

@@ -8,7 +8,9 @@ What remains here serves the experiments that need something else:
 * :func:`stage1_trial_trajectories` / :func:`stage2_trial_trajectories` run
   *one* stage for ``R`` trials and record every phase (E3/E4/E6/E13), on
   the ``"batched"`` ``(R, n)`` ensemble, the ``"counts"`` ``(R, k)``
-  sufficient statistics, or the ``"sequential"`` reference loop;
+  sufficient statistics, or the ``"sequential"`` reference loop.  They run
+  the protocol classes on a schedule whose other stage has no phase and
+  read the stage's :class:`~repro.core.schedule.PhaseRecord` history;
 * :func:`repeat_trials`, :func:`sweep_product` and :func:`summarize` are
   plain repetition / grid / statistics helpers;
 * :func:`set_default_counts_threshold` installs the process-wide ``"auto"``
@@ -40,19 +42,20 @@ from typing import (
 
 import numpy as np
 
-from repro.core.schedule import Stage1Schedule, Stage2Schedule
-from repro.core.stage1 import CountsStage1Executor, EnsembleStage1Executor, Stage1Executor
-from repro.core.stage2 import CountsStage2Executor, EnsembleStage2Executor, Stage2Executor
+from repro.core.protocol import (
+    CountsProtocol,
+    EnsembleProtocol,
+    EnsembleResult,
+    TwoStageProtocol,
+)
+from repro.core.schedule import ProtocolSchedule, Stage1Schedule, Stage2Schedule
 from repro.core.state import CountsState, EnsembleCountsState, EnsembleState, PopulationState
-from repro.network.balls_bins import CountsDeliveryModel
-from repro.network.push_model import UniformPushModel
 from repro.noise.matrix import NoiseMatrix
 from repro.sim.engines import DEFAULT_COUNTS_THRESHOLD, resolve_engine_policy
 from repro.utils.rng import (
     EnsembleRandomState,
     RandomState,
     as_trial_generators,
-    resolve_trial_randomness,
     spawn_generators,
 )
 
@@ -209,9 +212,12 @@ def stage1_trial_trajectories(
 
     The engine-aware counterpart of driving
     :class:`~repro.core.stage1.Stage1Executor` in a Python loop: the batched
-    engine evolves one ``(R, n)`` ensemble, the counts engine one ``(R, k)``
-    count matrix, and the sequential reference loops single trials — all
-    three produce the same per-phase measurement arrays (Lemma 4/6/7's
+    engine evolves one ``(R, n)`` ensemble (:class:`~repro.core.protocol.
+    EnsembleProtocol`), the counts engine one ``(R, k)`` count matrix
+    (:class:`~repro.core.protocol.CountsProtocol`), and the sequential
+    reference loops single :class:`~repro.core.protocol.TwoStageProtocol`
+    trials — all three on a schedule with an empty Stage 2, and all three
+    produce the same per-phase measurement arrays (Lemma 4/6/7's
     opinionated fraction and bias, experiments E3/E4).  Per-trial randomness
     follows the shared spawned-generator discipline, so a fixed
     ``random_state`` reproduces the batch on any engine.
@@ -219,55 +225,23 @@ def stage1_trial_trajectories(
     num_nodes = initial_state.num_nodes
     if schedule is None:
         schedule = Stage1Schedule.for_population(num_nodes, epsilon)
-    trial_engine = _resolve_engine_for_state(
-        trial_engine, initial_state, counts_threshold
+    result = _run_one_stage(
+        ProtocolSchedule(schedule, Stage2Schedule([], [], epsilon)),
+        _resolve_engine_for_state(trial_engine, initial_state, counts_threshold),
+        initial_state,
+        noise,
+        num_trials,
+        random_state,
+        track_opinion,
     )
-    phase_lengths = tuple(int(length) for length in schedule.phase_lengths)
-
-    if trial_engine == "batched":
-        ensemble = EnsembleState.from_state(initial_state, num_trials)
-        engine = UniformPushModel(num_nodes, noise, None)
-        randomness = resolve_trial_randomness(
-            random_state, num_trials, "per_trial"
-        )
-        executor = EnsembleStage1Executor(engine, schedule, randomness)
-        _, records = executor.run(ensemble, track_opinion=track_opinion)
-        fractions = np.stack(
-            [record.opinionated_after / num_nodes for record in records],
-            axis=1,
-        )
-        biases = np.stack([record.bias for record in records], axis=1)
-        return Stage1TrajectoryResult(phase_lengths, fractions, biases)
-
-    if trial_engine == "counts":
-        ensemble = EnsembleCountsState.from_state(initial_state, num_trials)
-        delivery = CountsDeliveryModel([num_trials], [num_nodes], [noise])
-        randomness = resolve_trial_randomness(
-            random_state, num_trials, "per_trial"
-        )
-        executor = CountsStage1Executor(delivery, schedule, randomness)
-        _, records = executor.run(ensemble, track_opinion=track_opinion)
-        fractions = np.stack(
-            [record.opinionated_after / num_nodes for record in records],
-            axis=1,
-        )
-        biases = np.stack([record.bias for record in records], axis=1)
-        return Stage1TrajectoryResult(phase_lengths, fractions, biases)
-
-    generators = as_trial_generators(random_state, num_trials)
-    fractions = np.empty((num_trials, len(phase_lengths)), dtype=float)
-    biases = np.empty((num_trials, len(phase_lengths)), dtype=float)
-    for trial, generator in enumerate(generators):
-        engine = UniformPushModel(num_nodes, noise, generator)
-        executor = Stage1Executor(engine, schedule, generator)
-        _, records = executor.run(
-            initial_state, track_opinion=track_opinion
-        )
-        fractions[trial] = [
-            record.opinionated_after / num_nodes for record in records
-        ]
-        biases[trial] = [record.bias for record in records]
-    return Stage1TrajectoryResult(phase_lengths, fractions, biases)
+    records = result.stage1_records
+    return Stage1TrajectoryResult(
+        tuple(int(length) for length in schedule.phase_lengths),
+        np.stack(
+            [record.opinionated_after / num_nodes for record in records], axis=1
+        ),
+        np.stack([record.bias for record in records], axis=1),
+    )
 
 
 @dataclass(frozen=True)
@@ -337,75 +311,79 @@ def stage2_trial_trajectories(
     trial_engine = _resolve_engine_for_state(
         trial_engine, initial_state, counts_threshold
     )
-    phase_lengths = tuple(int(length) for length in schedule.phase_lengths)
-    sample_sizes = tuple(int(size) for size in schedule.sample_sizes)
-
-    if trial_engine in ("batched", "counts"):
-        randomness = resolve_trial_randomness(
-            random_state, num_trials, "per_trial"
+    if trial_engine == "counts" and (
+        sampling_method != "without_replacement" or use_full_multiset
+    ):
+        raise ValueError(
+            "the counts engine implements only the faithful Stage-2 rule "
+            "(a size-L sample drawn without replacement); use the batched "
+            f"or sequential engine for sampling_method={sampling_method!r}, "
+            f"use_full_multiset={use_full_multiset}"
         )
-        if trial_engine == "batched":
-            if isinstance(initial_state, PopulationState):
-                ensemble = EnsembleState.from_state(initial_state, num_trials)
-            else:
-                ensemble = initial_state
-            engine = UniformPushModel(num_nodes, noise, None)
-            executor = EnsembleStage2Executor(
-                engine,
-                schedule,
-                randomness,
-                sampling_method=sampling_method,
-                use_full_multiset=use_full_multiset,
-            )
-        else:
-            if isinstance(initial_state, (PopulationState, CountsState)):
-                ensemble = EnsembleCountsState.from_state(
-                    initial_state, num_trials
-                )
-            else:
-                ensemble = EnsembleCountsState.from_ensemble(initial_state)
-            delivery = CountsDeliveryModel(
-                [ensemble.num_trials], [num_nodes], [noise]
-            )
-            executor = CountsStage2Executor(
-                delivery,
-                schedule,
-                randomness,
-                sampling_method=sampling_method,
-                use_full_multiset=use_full_multiset,
-            )
-        final_states, records = executor.run(
-            ensemble, track_opinion=track_opinion
-        )
-        biases = np.stack([record.bias_after for record in records], axis=1)
-        consensus = final_states.consensus_mask(track_opinion)
-        return Stage2TrajectoryResult(
-            phase_lengths, sample_sizes, biases, consensus
-        )
-
-    generators = as_trial_generators(random_state, num_trials)
-    biases = np.empty((num_trials, len(phase_lengths)), dtype=float)
-    consensus = np.empty(num_trials, dtype=bool)
-    for trial, generator in enumerate(generators):
-        if isinstance(initial_state, EnsembleState):
-            trial_state = initial_state.trial_state(trial)
-        else:
-            trial_state = initial_state
-        engine = UniformPushModel(num_nodes, noise, generator)
-        executor = Stage2Executor(
-            engine,
-            schedule,
-            generator,
-            sampling_method=sampling_method,
-            use_full_multiset=use_full_multiset,
-        )
-        final_state, records = executor.run(
-            trial_state, track_opinion=track_opinion
-        )
-        biases[trial] = [record.bias_after for record in records]
-        consensus[trial] = final_state.has_consensus_on(track_opinion)
+    result = _run_one_stage(
+        ProtocolSchedule(Stage1Schedule([], epsilon), schedule),
+        trial_engine,
+        initial_state,
+        noise,
+        num_trials,
+        random_state,
+        track_opinion,
+        sampling_method=sampling_method,
+        use_full_multiset=use_full_multiset,
+    )
     return Stage2TrajectoryResult(
-        phase_lengths, sample_sizes, biases, consensus
+        tuple(int(length) for length in schedule.phase_lengths),
+        tuple(int(size) for size in schedule.sample_sizes),
+        np.stack([record.bias for record in result.stage2_records], axis=1),
+        result.successes,
+    )
+
+
+def _run_one_stage(
+    schedule: ProtocolSchedule,
+    trial_engine: str,
+    initial_state,
+    noise: NoiseMatrix,
+    num_trials: int,
+    random_state: EnsembleRandomState,
+    track_opinion: int,
+    **ablation: Any,
+) -> EnsembleResult:
+    """``num_trials`` protocol trials on ``schedule`` (one of whose stages
+    has no phase) on the resolved tier, as one :class:`EnsembleResult`.
+
+    Every tier spawns one generator per trial from ``random_state``.
+    """
+    num_nodes = initial_state.num_nodes
+    if trial_engine == "counts":
+        return CountsProtocol(
+            num_nodes, noise, schedule=schedule, random_state=random_state
+        ).run(initial_state, num_trials, target_opinion=track_opinion)
+    if trial_engine == "batched":
+        return EnsembleProtocol(
+            num_nodes,
+            noise,
+            schedule=schedule,
+            random_state=random_state,
+            **ablation,
+        ).run(initial_state, num_trials, target_opinion=track_opinion)
+    if isinstance(initial_state, EnsembleState):
+        trial_states = initial_state.to_states()
+    else:
+        trial_states = [initial_state] * num_trials
+    return EnsembleResult.from_trials(
+        [
+            TwoStageProtocol(
+                num_nodes,
+                noise,
+                schedule=schedule,
+                random_state=generator,
+                **ablation,
+            ).run(trial_state, target_opinion=track_opinion)
+            for trial_state, generator in zip(
+                trial_states, as_trial_generators(random_state, num_trials)
+            )
+        ]
     )
 
 

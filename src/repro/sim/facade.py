@@ -28,6 +28,7 @@ from repro.core.analytic import (
 from repro.core.protocol import (
     CountsProtocolTask,
     EnsembleProtocol,
+    EnsembleResult,
     TwoStageProtocol,
     run_heterogeneous_counts_protocol,
 )
@@ -334,8 +335,10 @@ def _protocol_sequential(
             use_full_multiset=scenario.use_full_multiset,
         )
         results.append(protocol.run(initial_state, target_opinion=target))
-    return SimulationResult.from_protocol_results(
-        results, workload=scenario.workload, engine=engine
+    return SimulationResult.from_ensemble_result(
+        EnsembleResult.from_trials(results),
+        workload=scenario.workload,
+        engine=engine,
     )
 
 

@@ -1,16 +1,16 @@
 """The unified :class:`SimulationResult` every facade run returns.
 
-One result type across all three engine tiers and all workloads: per-trial
+One result type across all engine tiers and all workloads: per-trial
 converged/success masks, executed rounds, final bias and opinion counts,
 optional bias trajectories, and a provenance dictionary (engine used, seed,
 code version, wall time, the scenario itself).  Adapter constructors build
-it from every legacy result type (:class:`~repro.core.protocol.
-ProtocolResult`, :class:`~repro.core.protocol.EnsembleResult`,
+it from the engines' own results (:class:`~repro.core.protocol.
+EnsembleResult` for every protocol tier — sequential runs stack through
+:meth:`~repro.core.protocol.EnsembleResult.from_trials` —
 :class:`~repro.dynamics.base.DynamicsResult`,
-:class:`~repro.dynamics.base.EnsembleDynamicsResult`,
-:class:`~repro.dynamics.base.CountsDynamicsResult`), which is what lets one
-facade supersede five result dataclasses without re-deriving a single
-number — the adapters only re-arrange what the engines already measured.
+:class:`~repro.dynamics.base.EnsembleDynamicsResult` and the analytic
+results), without re-deriving a single number — the adapters only
+re-arrange what the engines already measured.
 """
 
 from __future__ import annotations
@@ -22,13 +22,9 @@ from typing import Any, Dict, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from repro.core.analytic import AnalyticProtocolResult
-from repro.core.protocol import EnsembleResult, ProtocolResult
+from repro.core.protocol import EnsembleResult
 from repro.dynamics.analytic import AnalyticDynamicsResult
-from repro.dynamics.base import (
-    CountsDynamicsResult,
-    DynamicsResult,
-    EnsembleDynamicsResult,
-)
+from repro.dynamics.base import DynamicsResult, EnsembleDynamicsResult
 
 __all__ = ["SimulationResult", "jsonify_value"]
 
@@ -56,14 +52,22 @@ def jsonify_value(value: Any) -> Any:
     return value
 
 
-def _protocol_trajectories(
-    stage1_biases: Sequence[np.ndarray], stage2_biases: Sequence[np.ndarray]
-) -> Optional[np.ndarray]:
-    """Per-phase ``(R, P)`` bias trajectory over both stages, if recorded."""
-    columns = [column for column in (*stage1_biases, *stage2_biases) if column is not None]
-    if not columns:
-        return None
-    return np.stack([np.asarray(column, dtype=float) for column in columns], axis=1)
+#: The :meth:`SimulationResult.to_json` fields :meth:`~SimulationResult.
+#: from_json` cannot rebuild a result without; every other field is optional.
+_REQUIRED_JSON_FIELDS = (
+    "workload",
+    "engine",
+    "num_nodes",
+    "num_opinions",
+    "num_trials",
+    "target_opinion",
+    "successes",
+    "converged",
+    "rounds",
+    "final_biases",
+    "final_opinion_counts",
+    "consensus_opinions",
+)
 
 
 @dataclass
@@ -224,58 +228,6 @@ class SimulationResult:
     # ------------------- adapters from legacy results ------------------- #
 
     @classmethod
-    def from_protocol_results(
-        cls,
-        results: Sequence[ProtocolResult],
-        *,
-        workload: str,
-        engine: str = "sequential",
-    ) -> "SimulationResult":
-        """Adapt a sequence of per-trial :class:`ProtocolResult` objects."""
-        if not results:
-            raise ValueError("at least one ProtocolResult is required")
-        first = results[0]
-        target = int(first.target_opinion)
-        counts = np.stack(
-            [result.final_state.opinion_counts() for result in results]
-        ).astype(np.int64)
-        num_nodes = first.final_state.num_nodes
-        converged = counts.max(axis=1) == num_nodes
-        consensus = np.where(converged, counts.argmax(axis=1) + 1, 0).astype(
-            np.int64
-        )
-        stage1_biases = [result.bias_after_stage1 for result in results]
-        has_stage1 = all(value is not None for value in stage1_biases)
-        per_trial = [result.bias_trajectory() for result in results]
-        lengths = {trajectory.shape[0] for trajectory in per_trial}
-        trajectories = (
-            np.stack(per_trial) if len(lengths) == 1 and lengths != {0} else None
-        )
-        return cls(
-            workload=workload,
-            engine=engine,
-            num_nodes=num_nodes,
-            num_opinions=first.final_state.num_opinions,
-            num_trials=len(results),
-            target_opinion=target,
-            successes=np.asarray([result.success for result in results], dtype=bool),
-            converged=converged,
-            rounds=np.asarray(
-                [result.total_rounds for result in results], dtype=np.int64
-            ),
-            final_biases=np.asarray(
-                [result.final_bias for result in results], dtype=float
-            ),
-            final_opinion_counts=counts,
-            consensus_opinions=consensus,
-            bias_after_stage1=(
-                np.asarray(stage1_biases, dtype=float) if has_stage1 else None
-            ),
-            stage1_rounds=int(first.stage1_rounds),
-            trajectories=trajectories,
-        )
-
-    @classmethod
     def from_ensemble_result(
         cls,
         result: EnsembleResult,
@@ -283,7 +235,7 @@ class SimulationResult:
         workload: str,
         engine: str,
     ) -> "SimulationResult":
-        """Adapt a batched or counts :class:`EnsembleResult`."""
+        """Adapt an :class:`EnsembleResult` of any protocol tier."""
         counts = np.asarray(result.final_states.opinion_counts(), dtype=np.int64)
         num_nodes = result.final_states.num_nodes
         converged = counts.max(axis=1) == num_nodes
@@ -291,10 +243,7 @@ class SimulationResult:
             np.int64
         )
         stage1_biases = result.biases_after_stage1
-        trajectories = _protocol_trajectories(
-            [record.bias for record in result.stage1_records],
-            [record.bias_after for record in result.stage2_records],
-        )
+        trajectories = result.bias_trajectories()
         return cls(
             workload=workload,
             engine=engine,
@@ -384,7 +333,7 @@ class SimulationResult:
     @classmethod
     def from_ensemble_dynamics_result(
         cls,
-        result: Union[EnsembleDynamicsResult, CountsDynamicsResult],
+        result: EnsembleDynamicsResult,
         *,
         engine: str,
     ) -> "SimulationResult":
@@ -555,11 +504,7 @@ class SimulationResult:
                 "document must be a JSON object string or a mapping, got "
                 f"{type(document).__name__}"
             )
-        missing = [
-            key
-            for key in ("workload", "engine", "num_trials", "successes")
-            if key not in document
-        ]
+        missing = [key for key in _REQUIRED_JSON_FIELDS if key not in document]
         if missing:
             raise ValueError(
                 f"simulation-result document is missing fields: {missing}"

@@ -1,10 +1,9 @@
 """Tests for the counts-engine protocol executors and driver.
 
 Covers the Stage-1/Stage-2 counts executors' bookkeeping (records,
-conservation, edge cases), the :class:`CountsProtocol` driver contract
-(state coercion, schedules, result API, reproducibility), and the rejection
-of the per-node-only ablation knobs.  Cross-engine statistical agreement
-lives in ``tests/integration/test_engine_agreement.py``.
+conservation, edge cases) and the :class:`CountsProtocol` driver contract
+(state coercion, schedules, result API, reproducibility).  Cross-engine
+statistical agreement lives in ``tests/integration/test_engine_agreement.py``.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.protocol import CountsProtocol, EnsembleResult
-from repro.core.schedule import ProtocolSchedule, Stage1Schedule, Stage2Schedule
+from repro.core.schedule import Stage1Schedule, Stage2Schedule
 from repro.core.stage1 import CountsStage1Executor
 from repro.core.stage2 import CountsStage2Executor
 from repro.core.state import CountsState, EnsembleCountsState, PopulationState
@@ -153,55 +152,57 @@ class TestCountsDeliveryModel:
 class TestCountsStageExecutors:
     def test_stage1_grows_opinionated_set(self, noise):
         schedule = Stage1Schedule.for_population(NUM_NODES, EPSILON)
-        executor = CountsStage1Executor(
-            one_block(4, noise), schedule, random_state=0
-        )
-        initial = EnsembleCountsState.from_counts_state(
-            CountsState.single_source(NUM_NODES, 3, 1), 4
-        )
-        final, records = executor.run(initial, track_opinion=1)
+        executor = CountsStage1Executor(one_block(4, noise), random_state=0)
+        counts = np.tile([1, 0, 0], (4, 1)).astype(np.int64)
+        records = [
+            executor.run_phase(counts, [(phase_index, num_rounds)], [1])[0]
+            for phase_index, num_rounds in enumerate(schedule.phase_lengths)
+        ]
         assert len(records) == schedule.num_phases
-        assert np.all(final.opinionated_counts() >= 1)
+        assert np.all(counts.sum(axis=1) >= 1)
         assert np.all(
             records[-1].opinionated_after >= records[0].opinionated_before
         )
-        assert np.all(final.counts.sum(axis=1) <= NUM_NODES)
+        assert np.all(counts.sum(axis=1) <= NUM_NODES)
         # Phase records carry per-trial arrays and the Claim-1 ball count.
         assert records[0].messages_sent.shape == (4,)
         assert records[0].messages_sent[0] == schedule.phase_lengths[0]
+        assert records[0].sample_size is None
+        np.testing.assert_array_equal(
+            records[0].updated_nodes,
+            records[0].opinionated_after - records[0].opinionated_before,
+        )
 
     def test_stage2_amplifies_bias(self, noise):
         schedule = Stage2Schedule.for_population(NUM_NODES, EPSILON)
-        executor = CountsStage2Executor(
-            one_block(6, noise), schedule, random_state=0
-        )
+        executor = CountsStage2Executor(one_block(6, noise), random_state=0)
         biased = EnsembleCountsState(
             np.tile([360, 240, 200], (6, 1)), NUM_NODES
         )
-        final, records = executor.run(biased, track_opinion=1)
+        counts = biased.counts.copy()
+        records = [
+            executor.run_phase(
+                counts, [(phase_index, num_rounds, sample_size)], [1]
+            )[0]
+            for phase_index, (num_rounds, sample_size) in enumerate(
+                zip(schedule.phase_lengths, schedule.sample_sizes)
+            )
+        ]
+        final = EnsembleCountsState(counts, NUM_NODES)
         assert len(records) == schedule.num_phases
         assert float(final.bias_toward(1).mean()) > float(
             biased.bias_toward(1).mean()
         )
         assert np.all(final.counts.sum(axis=1) == NUM_NODES)
-        assert records[-1].consensus_after.shape == (6,)
-
-    def test_stage2_rejects_ablation_knobs(self, noise):
-        delivery = one_block(1, noise)
-        schedule = Stage2Schedule.for_population(NUM_NODES, EPSILON)
-        with pytest.raises(ValueError, match="with_replacement"):
-            CountsStage2Executor(
-                delivery, schedule, sampling_method="with_replacement"
-            )
-        with pytest.raises(ValueError, match="full_multiset"):
-            CountsStage2Executor(delivery, schedule, use_full_multiset=True)
+        np.testing.assert_array_equal(records[-1].bias, final.bias_toward(1))
+        assert records[-1].sample_size == schedule.sample_sizes[-1]
+        assert np.all(records[-1].opinionated_after == NUM_NODES)
 
     def test_executors_reject_wrong_delivery_type(self, noise):
-        schedule = ProtocolSchedule.for_population(NUM_NODES, EPSILON)
         with pytest.raises(TypeError):
-            CountsStage1Executor(noise, schedule.stage1)
+            CountsStage1Executor(noise)
         with pytest.raises(TypeError):
-            CountsStage2Executor(noise, schedule.stage2)
+            CountsStage2Executor(noise)
 
 
 class TestCountsProtocol:

@@ -76,8 +76,8 @@ class TestSeedMatchedEquivalence:
             assert batched_record.opinionated_after[2] == (
                 single_record.opinionated_after[0]
             )
-            assert batched_record.newly_opinionated[2] == (
-                single_record.newly_opinionated[0]
+            assert batched_record.updated_nodes[2] == (
+                single_record.updated_nodes[0]
             )
         for batched_record, single_record in zip(
             batched.stage2_records, single.stage2_records
@@ -276,16 +276,25 @@ class TestEnsembleExecutors:
         assert len(records) == len(schedule.stage1.phase_lengths)
         assert np.all(final.opinionated_counts() >= 1)
 
-    def test_stage2_records_consensus_masks(self, noise):
+    def test_run_does_not_mutate_an_ensemble_input(self, noise, initial_state):
+        ensemble = EnsembleState.from_state(initial_state, 3)
+        result = run_batched(noise, ensemble, 0, 3)
+        assert np.array_equal(
+            ensemble.opinions, np.tile(initial_state.opinions, (3, 1))
+        )
+        assert not np.array_equal(result.final_states.opinions, ensemble.opinions)
+
+    def test_stage2_records_per_trial_bias(self, noise):
         engine = UniformPushModel(NUM_NODES, noise, 0)
         schedule = ProtocolSchedule.for_population(NUM_NODES, EPSILON)
         state = biased_population(NUM_NODES, 3, 0.4, random_state=0)
         ensemble = EnsembleState.from_state(state, 3)
         executor = EnsembleStage2Executor(engine, schedule.stage2, 0)
         final, records = executor.run(ensemble, track_opinion=1)
-        assert records[-1].consensus_after.shape == (3,)
+        assert records[-1].bias.shape == (3,)
+        assert np.array_equal(records[-1].bias, final.bias_toward(1))
         assert np.array_equal(
-            records[-1].consensus_after, final.consensus_mask(1)
+            records[-1].opinionated_after, final.opinionated_counts()
         )
 
     def test_full_multiset_variant_runs(self, noise, initial_state):

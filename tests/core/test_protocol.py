@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.core.protocol import ProtocolResult, TwoStageProtocol
+from repro.core.protocol import EnsembleResult, ProtocolResult, TwoStageProtocol
 from repro.core.schedule import ProtocolSchedule
 from repro.core.state import PopulationState
 from repro.network.balls_bins import BallsIntoBinsProcess
@@ -114,7 +116,7 @@ class TestProtocolResult:
         return protocol.run(PopulationState.single_source(600, 3, 1))
 
     def test_bias_trajectory_monotone_tail(self, result):
-        trajectory = result.bias_trajectory()
+        trajectory = EnsembleResult.from_trials([result]).bias_trajectories()[0]
         assert trajectory.size > 0
         assert trajectory[-1] == pytest.approx(1.0)
 
@@ -132,3 +134,49 @@ class TestProtocolResult:
         assert result.bias_after_stage1 is not None
         assert result.stage1_rounds > 0
         assert result.stage2_rounds > 0
+
+
+class TestEnsembleResultFromTrials:
+    @pytest.fixture
+    def results(self, uniform3):
+        initial = PopulationState.single_source(300, 3, 1)
+        return [
+            TwoStageProtocol(300, uniform3, epsilon=0.3, random_state=seed).run(
+                initial
+            )
+            for seed in (1, 2, 3)
+        ]
+
+    def test_stacks_the_trials_in_order(self, results):
+        stacked = EnsembleResult.from_trials(results)
+        assert stacked.num_trials == 3
+        assert stacked.total_rounds == results[0].total_rounds
+        for trial, result in enumerate(results):
+            np.testing.assert_array_equal(
+                stacked.final_states.opinions[trial], result.final_state.opinions
+            )
+            assert stacked.successes[trial] == result.success
+            assert stacked.biases_after_stage1[trial] == result.bias_after_stage1
+            for stage in ("stage1_records", "stage2_records"):
+                for row, record in zip(
+                    getattr(stacked, stage), getattr(result, stage)
+                ):
+                    assert row.phase_index == record.phase_index
+                    assert row.sample_size == record.sample_size
+                    assert row.bias[trial] == record.bias[0]
+                    np.testing.assert_array_equal(
+                        row.opinion_distributions[trial],
+                        record.opinion_distributions[0],
+                    )
+
+    def test_rejects_trials_with_different_phases(self, results):
+        """A run stopped early at consensus has fewer Stage-2 phases."""
+        early = dataclasses.replace(
+            results[1], stage2_records=results[1].stage2_records[:-1]
+        )
+        with pytest.raises(ValueError, match="executed phases"):
+            EnsembleResult.from_trials([results[0], early])
+
+    def test_rejects_an_empty_batch(self):
+        with pytest.raises(ValueError):
+            EnsembleResult.from_trials([])

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.schedule import (
+    PhaseRecord,
     ProtocolSchedule,
     Stage1Schedule,
     Stage2Schedule,
@@ -162,3 +164,67 @@ class TestScheduleProperties:
         noisy = Stage1Schedule.for_population(num_nodes, low)
         clean = Stage1Schedule.for_population(num_nodes, high)
         assert noisy.total_rounds >= clean.total_rounds
+
+
+class TestPhaseRecord:
+    def record(self, counts, **overrides):
+        fields = dict(
+            counts=np.asarray(counts, dtype=np.int64),
+            num_nodes=10,
+            opinionated_before=np.array([2, 4]),
+            updated_nodes=np.array([5, 3]),
+            messages_sent=np.array([8, 16]),
+            track_opinion=1,
+        )
+        fields.update(overrides)
+        return PhaseRecord.after_phase(3, 4, None, **fields)
+
+    def test_fields_derive_from_the_counts(self):
+        record = self.record([[5, 2, 0], [3, 4, 0]])
+        np.testing.assert_array_equal(
+            record.opinion_distributions, [[0.5, 0.2, 0.0], [0.3, 0.4, 0.0]]
+        )
+        np.testing.assert_array_equal(record.opinionated_after, [7, 7])
+        np.testing.assert_allclose(record.bias, [0.3, -0.1])
+        assert record.opinionated_after.dtype == np.int64
+        assert (record.phase_index, record.num_rounds) == (3, 4)
+        assert record.sample_size is None
+
+    def test_one_trial_takes_plain_numbers(self):
+        record = self.record(
+            [5, 2, 0], opinionated_before=2, updated_nodes=5, messages_sent=8
+        )
+        assert record.opinion_distributions.shape == (1, 3)
+        for column in ("opinionated_before", "updated_nodes", "messages_sent"):
+            assert getattr(record, column).shape == (1,)
+            assert getattr(record, column).dtype == np.int64
+
+    def test_untracked_opinion_has_no_bias(self):
+        assert self.record([[5, 2, 0], [3, 4, 0]], track_opinion=None).bias is None
+
+    def test_rejects_an_opinion_outside_one_to_k(self):
+        with pytest.raises(ValueError, match="opinion must be in"):
+            self.record([[5, 2, 0], [3, 4, 0]], track_opinion=4)
+
+    def test_concatenate_stacks_trials_in_order(self):
+        first = self.record([[5, 2, 0], [3, 4, 0]])
+        second = self.record([[0, 1, 9], [1, 1, 1]])
+        stacked = PhaseRecord.concatenate([first, second])
+        np.testing.assert_array_equal(
+            stacked.opinion_distributions,
+            np.vstack([first.opinion_distributions, second.opinion_distributions]),
+        )
+        np.testing.assert_array_equal(
+            stacked.bias, np.concatenate([first.bias, second.bias])
+        )
+        np.testing.assert_array_equal(stacked.messages_sent, [8, 16, 8, 16])
+
+    def test_concatenate_rejects_different_phases(self):
+        first = self.record([[5, 2, 0], [3, 4, 0]])
+        other = PhaseRecord.after_phase(
+            4, 4, None, counts=np.array([[5, 2, 0]]), num_nodes=10,
+            opinionated_before=2, updated_nodes=5, messages_sent=8,
+            track_opinion=1,
+        )
+        with pytest.raises(ValueError, match="different phases"):
+            PhaseRecord.concatenate([first, other])

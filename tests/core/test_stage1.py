@@ -94,7 +94,7 @@ class TestStage1Executor:
         executor, schedule = make_executor(50, identity3, rng)
         state = PopulationState.all_undecided(50, 3)
         record = executor.run_phase(state, 0, schedule.phase_lengths[0])
-        assert record.newly_opinionated == 0
+        assert record.updated_nodes == 0
         assert record.messages_sent == 0
         assert state.opinionated_count() == 0
 
@@ -110,7 +110,7 @@ class TestStage1Executor:
         initial = PopulationState.single_source(400, 3, 1)
         _, records = executor.run(initial)
         for record in records:
-            assert record.newly_opinionated == (
+            assert record.updated_nodes == (
                 record.opinionated_after - record.opinionated_before
             )
 

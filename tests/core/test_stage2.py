@@ -50,13 +50,13 @@ class TestStage2Executor:
         initial = biased_population(1000, 3, 0.15, random_state=rng)
         final_state, records = executor.run(initial, track_opinion=1)
         assert final_state.has_consensus_on(1)
-        assert records[-1].bias_after == pytest.approx(1.0)
+        assert records[-1].bias == pytest.approx(1.0)
 
     def test_bias_records_consistent_with_state(self, uniform3, rng):
         executor, _ = make_executor(500, uniform3, rng)
         initial = biased_population(500, 3, 0.2, random_state=rng)
         final_state, records = executor.run(initial, track_opinion=1)
-        assert records[-1].bias_after == pytest.approx(final_state.bias_toward(1))
+        assert records[-1].bias == pytest.approx(final_state.bias_toward(1))
 
     def test_noise_free_stage2_converges_fast(self, identity3, rng):
         executor, _ = make_executor(500, identity3, rng)

@@ -15,9 +15,9 @@ import pytest
 from repro.core.state import CountsState, EnsembleCountsState, PopulationState
 from repro.dynamics import (
     DYNAMICS_RULES,
-    CountsDynamicsResult,
     EnsembleCountsHMajorityDynamics,
     EnsembleCountsThreeMajorityDynamics,
+    EnsembleDynamicsResult,
 )
 from repro.experiments.workloads import biased_population
 from repro.noise.families import identity_matrix, uniform_noise_matrix
@@ -162,7 +162,8 @@ class TestRegistryAndApi:
     def test_result_shapes_and_types(self, noise, initial_state):
         result = run_counts("voter", None, noise, initial_state, 0, 5,
                             max_rounds=10, stop_at_consensus=False)
-        assert isinstance(result, CountsDynamicsResult)
+        assert isinstance(result, EnsembleDynamicsResult)
+        assert isinstance(result.final_states, EnsembleCountsState)
         assert result.num_trials == 5
         assert result.successes.shape == (5,)
         assert result.converged.shape == (5,)

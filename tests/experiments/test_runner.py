@@ -5,7 +5,23 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.state import CountsState
+from repro.core.schedule import Stage1Schedule, Stage2Schedule
+from repro.core.stage1 import (
+    CountsStage1Executor,
+    EnsembleStage1Executor,
+    Stage1Executor,
+)
+from repro.core.stage2 import (
+    CountsStage2Executor,
+    EnsembleStage2Executor,
+    Stage2Executor,
+)
+from repro.core.state import (
+    CountsState,
+    EnsembleState,
+    coerce_to_ensemble_counts,
+    distribution_biases,
+)
 from repro.experiments.runner import (
     TRIAL_ENGINES,
     repeat_trials,
@@ -20,8 +36,11 @@ from repro.experiments.workloads import (
     ensemble_biased_population,
     rumor_instance,
 )
+from repro.network.balls_bins import CountsDeliveryModel
+from repro.network.push_model import UniformPushModel
 from repro.noise.families import uniform_noise_matrix
 from repro.sim.engines import DEFAULT_COUNTS_THRESHOLD
+from repro.utils.rng import as_trial_generators, resolve_trial_randomness
 
 
 class TestRepeatTrials:
@@ -277,3 +296,163 @@ class TestEngineResolution:
                 self.stage1(engine, source)
             with pytest.raises(ValueError, match="per-node"):
                 self.stage2(engine, population)
+
+
+def _drive_stage_executors(
+    stage, trial_engine, initial_state, noise, schedule, num_trials, seed,
+    track_opinion, **ablation,
+):
+    """One stage for ``num_trials`` trials on its executor, phase by phase.
+
+    Returns the ``(R, P)`` opinionated fractions and biases after every
+    phase and the ``(R,)`` final consensus mask on ``track_opinion``.
+    """
+    num_nodes = initial_state.num_nodes
+    if stage == 1:
+        phases = [(length,) for length in schedule.phase_lengths]
+    else:
+        phases = list(zip(schedule.phase_lengths, schedule.sample_sizes))
+    fractions, biases = [], []
+    if trial_engine == "sequential":
+        if isinstance(initial_state, EnsembleState):
+            states = initial_state.to_states()
+        else:
+            states = [initial_state.copy() for _ in range(num_trials)]
+        consensus = []
+        for state, generator in zip(
+            states, as_trial_generators(seed, num_trials)
+        ):
+            engine = UniformPushModel(num_nodes, noise, generator)
+            if stage == 1:
+                executor = Stage1Executor(engine, schedule, generator)
+            else:
+                executor = Stage2Executor(
+                    engine, schedule, generator, **ablation
+                )
+            trial_fractions, trial_biases = [], []
+            for phase_index, phase in enumerate(phases):
+                executor.run_phase(
+                    state, phase_index, *phase, track_opinion=track_opinion
+                )
+                trial_fractions.append(state.opinionated_fraction())
+                trial_biases.append(state.bias_toward(track_opinion))
+            fractions.append(trial_fractions)
+            biases.append(trial_biases)
+            consensus.append(state.has_consensus_on(track_opinion))
+        return np.array(fractions), np.array(biases), np.array(consensus)
+
+    randomness = resolve_trial_randomness(seed, num_trials, "per_trial")
+    if trial_engine == "batched":
+        if isinstance(initial_state, EnsembleState):
+            ensemble = initial_state.copy()
+        else:
+            ensemble = EnsembleState.from_state(initial_state, num_trials)
+        engine = UniformPushModel(num_nodes, noise, None)
+        if stage == 1:
+            executor = EnsembleStage1Executor(engine, schedule, randomness)
+        else:
+            executor = EnsembleStage2Executor(
+                engine, schedule, randomness, **ablation
+            )
+        for phase_index, phase in enumerate(phases):
+            executor.run_phase(
+                ensemble, phase_index, *phase, track_opinion=track_opinion
+            )
+            fractions.append(ensemble.opinionated_fractions())
+            biases.append(ensemble.bias_toward(track_opinion))
+        consensus = ensemble.consensus_mask(track_opinion)
+        return np.stack(fractions, axis=1), np.stack(biases, axis=1), consensus
+
+    counts = coerce_to_ensemble_counts(initial_state, num_trials).counts
+    delivery = CountsDeliveryModel([num_trials], [num_nodes], [noise])
+    executor_cls = CountsStage1Executor if stage == 1 else CountsStage2Executor
+    executor = executor_cls(delivery, random_state=randomness)
+    for phase_index, phase in enumerate(phases):
+        executor.run_phase(
+            counts, [(phase_index, *phase)], [track_opinion]
+        )
+        fractions.append(counts.sum(axis=1, dtype=np.int64) / num_nodes)
+        biases.append(distribution_biases(counts / num_nodes, track_opinion))
+    consensus = counts[:, track_opinion - 1] == num_nodes
+    return np.stack(fractions, axis=1), np.stack(biases, axis=1), consensus
+
+
+class TestStageHelpersMatchTheExecutors:
+    """Bitwise pin: each stage helper equals its tier's stage executor
+    driven phase by phase, with the helper's engine and per-trial
+    randomness."""
+
+    NUM_NODES = 300
+    EPSILON = 0.35
+    TRIALS = 3
+    SEED = 11
+    NOISE = uniform_noise_matrix(3, EPSILON)
+
+    def check(self, stage, trial_engine, initial_state, **ablation):
+        if stage == 1:
+            schedule = Stage1Schedule.for_population(
+                self.NUM_NODES, self.EPSILON
+            )
+            result = stage1_trial_trajectories(
+                initial_state, self.NOISE, self.EPSILON, self.TRIALS,
+                self.SEED, track_opinion=1, trial_engine=trial_engine,
+            )
+        else:
+            schedule = Stage2Schedule.for_population(
+                self.NUM_NODES, self.EPSILON
+            )
+            result = stage2_trial_trajectories(
+                initial_state, self.NOISE, self.EPSILON, self.TRIALS,
+                self.SEED, track_opinion=1, trial_engine=trial_engine,
+                **ablation,
+            )
+        fractions, biases, consensus = _drive_stage_executors(
+            stage, trial_engine, initial_state, self.NOISE, schedule,
+            self.TRIALS, self.SEED, 1, **ablation,
+        )
+        assert result.phase_lengths == tuple(schedule.phase_lengths)
+        np.testing.assert_array_equal(result.biases, biases)
+        if stage == 1:
+            np.testing.assert_array_equal(
+                result.opinionated_fractions, fractions
+            )
+        else:
+            assert result.sample_sizes == tuple(schedule.sample_sizes)
+            np.testing.assert_array_equal(result.consensus, consensus)
+
+    @pytest.mark.parametrize("trial_engine", TRIAL_ENGINES)
+    def test_stage1(self, trial_engine):
+        self.check(1, trial_engine, rumor_instance(self.NUM_NODES, 3, 1))
+
+    @pytest.mark.parametrize("trial_engine", TRIAL_ENGINES)
+    def test_stage2(self, trial_engine):
+        self.check(
+            2,
+            trial_engine,
+            biased_population(self.NUM_NODES, 3, 0.1, random_state=3),
+        )
+
+    @pytest.mark.parametrize("trial_engine", TRIAL_ENGINES)
+    def test_stage2_from_a_per_trial_ensemble(self, trial_engine):
+        self.check(
+            2,
+            trial_engine,
+            ensemble_biased_population(
+                self.NUM_NODES, 3, 0.1, self.TRIALS, random_state=5
+            ),
+        )
+
+    @pytest.mark.parametrize("trial_engine", ("batched", "sequential"))
+    @pytest.mark.parametrize("per_trial_start", [False, True])
+    def test_stage2_with_replacement(self, trial_engine, per_trial_start):
+        if per_trial_start:
+            initial_state = ensemble_biased_population(
+                self.NUM_NODES, 3, 0.1, self.TRIALS, random_state=5
+            )
+        else:
+            initial_state = biased_population(
+                self.NUM_NODES, 3, 0.1, random_state=3
+            )
+        self.check(
+            2, trial_engine, initial_state, sampling_method="with_replacement"
+        )

@@ -344,6 +344,27 @@ class TestProvenanceAndJson:
 
         assert_plain(document)
 
+    REQUIRED_JSON_FIELDS = (
+        "workload", "engine", "num_nodes", "num_opinions", "num_trials",
+        "target_opinion", "successes", "converged", "rounds",
+        "final_biases", "final_opinion_counts", "consensus_opinions",
+    )
+
+    @pytest.mark.parametrize("missing", REQUIRED_JSON_FIELDS)
+    def test_from_json_names_a_missing_required_field(self, missing):
+        document = simulate(protocol_scenario("rumor", "counts")).to_json_dict()
+        del document[missing]
+        with pytest.raises(ValueError, match=f"'{missing}'"):
+            SimulationResult.from_json(document)
+
+    def test_from_json_names_every_missing_field_at_once(self):
+        document = simulate(protocol_scenario("rumor", "counts")).to_json_dict()
+        del document["rounds"], document["num_nodes"]
+        with pytest.raises(ValueError) as raised:
+            SimulationResult.from_json(document)
+        assert "'num_nodes'" in str(raised.value)
+        assert "'rounds'" in str(raised.value)
+
 
 class TestResultStoreStability:
     """Orchestrator ResultStore payloads with facade provenance stay
